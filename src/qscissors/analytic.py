@@ -9,7 +9,7 @@ the anomaly while the numerical simulator stands as ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .channels import BeamSplitterSpec
 from .fock import CoherentDrive
@@ -59,12 +59,11 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """One evaluated formula: value, which formula, the inputs it saw, and
-    whether the value escaped its physical range."""
+    """One evaluated formula: value, which formula, and whether the value
+    escaped its physical range."""
 
     value: float
     formula: str
-    inputs: dict = field(default_factory=dict)
     out_of_range: bool = False
 
     def __post_init__(self):
@@ -110,7 +109,7 @@ def truncation_norm(params: NoiseParams, bs: BeamSplitterSpec) -> OracleReport:
     g1_sq = params.norm_C2 / (1.0 + params.ratio_R)
     inner = params.norm_C2 * t2 + (eta * g + g / r2 + (1.0 - eta)) * r2 * g1_sq
     value = 1.0 / (math.exp(d * params.gamma_amp**2) * eta * r2 * inner)
-    return OracleReport(value, "N_eq15", _echo(params, t=bs.t, r=bs.r))
+    return OracleReport(value, "N_eq15")
 
 
 def truncation_fidelity(params: NoiseParams) -> OracleReport:
@@ -124,7 +123,7 @@ def truncation_fidelity(params: NoiseParams) -> OracleReport:
     eta, g, r = params.eta, params.gamma_bs, params.ratio_R
     x = 1.0 - eta * (1.0 + g**2) / (1.0 - g)
     value = 1.0 - x / ((1.0 + r) * (1.0 + r * x))
-    return OracleReport(value, "F_eq16", _echo(params), out_of_range=not 0.0 <= value <= 1.0)
+    return OracleReport(value, "F_eq16", out_of_range=not 0.0 <= value <= 1.0)
 
 
 def teleport_norm(params: NoiseParams) -> OracleReport:
@@ -136,7 +135,7 @@ def teleport_norm(params: NoiseParams) -> OracleReport:
     eta, g, r = params.eta, params.gamma_bs, params.ratio_R
     inner = 1.0 + (1.0 / r) * (4.0 / (1.0 - g) - 3.0 * eta * (1.0 - g))
     value = 1.0 / (math.exp(-eta * (1.0 - g) * params.gamma_amp**2) * eta * ((1.0 - g) / 2.0) ** 2 * inner)
-    return OracleReport(value, "N_eq180", _echo(params))
+    return OracleReport(value, "N_eq180")
 
 
 def teleport_fidelity(params: NoiseParams) -> OracleReport:
@@ -151,17 +150,4 @@ def teleport_fidelity(params: NoiseParams) -> OracleReport:
     num = (3.0 + g) / (1.0 - g) - 3.0 * eta * (1.0 - g)
     den = (1.0 + r) * (1.0 + r * (4.0 / (1.0 - g) - 3.0 * eta * (1.0 - g)))
     value = 1.0 - num / den
-    return OracleReport(value, "F_eq20", _echo(params), out_of_range=not 0.0 <= value <= 1.0)
-
-
-def _echo(params: NoiseParams, **extra) -> dict:
-    out = {
-        "eta": params.eta,
-        "gamma_bs": params.gamma_bs,
-        "ratio_R": params.ratio_R,
-        "gamma_amp": params.gamma_amp,
-        "norm_C2": params.norm_C2,
-    }
-    for key, val in extra.items():
-        out[key] = complex(val) if isinstance(val, complex) else val
-    return out
+    return OracleReport(value, "F_eq20", out_of_range=not 0.0 <= value <= 1.0)

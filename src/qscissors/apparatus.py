@@ -53,6 +53,12 @@ class QubitAmplitudes:
         if abs(nsq - 1.0) > 1e-12:
             raise ValueError(f"|c0|^2 + |c1|^2 = {nsq} is not 1")
 
+    @classmethod
+    def from_drive(cls, drive: CoherentDrive) -> "QubitAmplitudes":
+        """The drive's renormalized vacuum and one-photon amplitudes: the scissors target."""
+        norm = math.sqrt(drive.qubit_norm_sq)
+        return cls(drive.amp0 / norm, drive.amp1 / norm)
+
     def as_vector(self, label: str = "c", cutoff: int = 1) -> FockVector:
         reg = ModeRegister((label,), (cutoff,))
         amps = np.zeros(reg.dim, dtype=complex)
@@ -254,7 +260,7 @@ def run_scissors(config: ScissorsConfig) -> RunResult:
             ("e", config.detectors, config.clicks[1]),
         ],
     )
-    target = _drive_target(config.drive, "c", config.output_cutoff)
+    target = QubitAmplitudes.from_drive(config.drive).as_vector("c", config.output_cutoff)
     fid = fidelity(state, target)
     return RunResult(
         state=state,
@@ -319,19 +325,10 @@ def full_pipeline(
     teleport_cfg = replace(
         teleport,
         input_state=scissors_result.state,
-        target=_drive_target(scissors.drive, "a", 1),
+        target=QubitAmplitudes.from_drive(scissors.drive).as_vector("a"),
     )
     teleport_result = run_teleport(teleport_cfg)
     return scissors_result, teleport_result, teleport_result.fidelity
-
-
-def _drive_target(drive: CoherentDrive, label: str, cutoff: int) -> FockVector:
-    norm = math.sqrt(drive.qubit_norm_sq)
-    reg = ModeRegister((label,), (cutoff,))
-    amps = np.zeros(reg.dim, dtype=complex)
-    amps[0] = drive.amp0 / norm
-    amps[1] = drive.amp1 / norm
-    return FockVector(reg, amps)
 
 
 def _teleport_input(config: TeleportConfig) -> tuple[DensityOperator, FockVector | None]:
@@ -339,8 +336,7 @@ def _teleport_input(config: TeleportConfig) -> tuple[DensityOperator, FockVector
     if state is None:
         raise ValueError("TeleportConfig.input_state is not set")
     if isinstance(state, QubitAmplitudes):
-        target = QubitAmplitudes(state.c0, state.c1).as_vector("a", cutoff=1)
-        return state.as_vector("c").to_density(), target
+        return state.as_vector("c").to_density(), state.as_vector("a")
     if isinstance(state, DensityOperator):
         if state.register.n_modes != 1:
             raise ValueError("teleport input must be a single-mode state")

@@ -2,16 +2,23 @@
 Bell-mapping table, with CSV/JSON reports that put the numerical results next
 to the closed-form oracles.
 
-Exit codes: 0 success, 1 invariant violation in some row, 2 config error.
+Every outside input is checked in one pass: command-line flags override the
+same key of the ``--config`` object (for ``sweep``, they replace that axis;
+``--ratio`` becomes the drive) and ``parse_config`` checks the result.
+
+Exit codes: 0 success, 1 invariant violation or impossible outcome, 2 config
+error; a failure prints one line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from .analytic import (
     NoiseParams,
@@ -59,15 +66,6 @@ class RunSettings:
     input_qubit: QubitAmplitudes | None = None
     out: str | None = None
 
-    def drive(self) -> CoherentDrive:
-        return CoherentDrive(self.drive_gamma, cutoff=self.cutoff, tail_eps=self.tail_eps)
-
-    def beam_splitter(self) -> BeamSplitterSpec:
-        return BeamSplitterSpec.lossy_5050(self.gamma_bs)
-
-    def detector(self) -> DetectorSpec:
-        return DetectorSpec(self.eta)
-
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -80,27 +78,19 @@ class SweepGrid:
     tail_eps: float = 1e-12
 
     def __post_init__(self):
-        for name in ("eta", "gamma_bs", "drive"):
-            values = getattr(self, name)
-            object.__setattr__(self, name, tuple(float(v) for v in values))
-            if not getattr(self, name):
-                raise ConfigError(f"sweep.{name}: list must be non-empty")
-        for v in self.eta:
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"sweep.eta: value {v} outside [0, 1]")
-        for v in self.gamma_bs:
-            if not 0.0 <= v < 1.0:
-                raise ConfigError(f"sweep.gamma_bs: value {v} outside [0, 1)")
-        for v in self.drive:
-            if v <= 0.0:
-                raise ConfigError(f"sweep.drive: amplitude {v} must be positive")
+        _check_cutoff(self.cutoff, "sweep.cutoff")
+        _check_tail_eps(self.tail_eps, "sweep.tail_eps")
+        drive_rule = functools.partial(_check_drive, cutoff=self.cutoff, tail_eps=self.tail_eps)
+        for name, rule in (("eta", _check_eta), ("gamma_bs", _check_gamma_bs), ("drive", drive_rule)):
+            path = f"sweep.{name}"
+            values = tuple(getattr(self, name))
+            if not values:
+                raise ConfigError(f"{path}: list must be non-empty")
+            object.__setattr__(self, name, tuple(rule(v, path).real for v in values))
 
     def points(self):
         """Deterministic lexicographic order over the grid."""
-        for eta in self.eta:
-            for gamma in self.gamma_bs:
-                for drive in self.drive:
-                    yield eta, gamma, drive
+        return itertools.product(self.eta, self.gamma_bs, self.drive)
 
 
 @dataclass
@@ -151,33 +141,16 @@ CSV_COLUMNS = [f.name for f in fields(ReportRow)]
 
 def parse_config(source) -> dict:
     """Validate a raw config (dict, JSON text, or file path) against the
-    schema; rejects unknown keys, reports offending field paths."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        text = str(source)
-        if text.strip().startswith("{"):
-            try:
-                raw = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON: {exc}") from exc
-        else:
-            try:
-                with open(text, "r", encoding="utf-8") as fh:
-                    raw = json.load(fh)
-            except OSError as exc:
-                raise ConfigError(f"cannot read config file {text!r}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {text!r}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+    schema; rejects unknown keys, reports offending field paths, and resolves
+    every drive's cutoff so that no input error surfaces later."""
+    raw = _load_config(source)
     known = {"eta", "gamma_bs", "drive", "input", "clicks", "sweep", "out"}
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
     out = {}
-    out["eta"] = _check_range(raw.get("eta", 1.0), "eta", 0.0, 1.0)
-    out["gamma_bs"] = _check_range(raw.get("gamma_bs", 0.0), "gamma_bs", 0.0, 1.0, open_high=True)
+    out["eta"] = _check_eta(raw.get("eta", 1.0))
+    out["gamma_bs"] = _check_gamma_bs(raw.get("gamma_bs", 0.0))
     out["drive"] = _parse_drive(raw.get("drive", 1.0))
     out["clicks"] = _parse_clicks(raw.get("clicks", [1, 0]))
     out["input"] = _parse_input(raw.get("input")) if "input" in raw else None
@@ -202,22 +175,71 @@ def settings_from_config(cfg: dict) -> RunSettings:
     )
 
 
+def _load_config(source) -> dict:
+    if isinstance(source, dict):
+        return source
+    text = str(source)
+    try:
+        if text.strip().startswith("{"):
+            raw = json.loads(text)
+        else:
+            with open(text, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {text!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    return raw
+
+
+def _merge_flags(raw: dict, args) -> dict:
+    """The config object with each given flag written over the same key (for
+    ``sweep``, over that axis as a one-element list); parse_config checks it."""
+    if args.drive is not None and args.ratio is not None:
+        raise ConfigError("give either --drive or --ratio, not both")
+    drive = args.drive
+    if args.ratio is not None:
+        if not 0 < args.ratio < math.inf:
+            raise ConfigError(f"ratio: must be finite and positive, got {args.ratio}")
+        drive = 1.0 / math.sqrt(args.ratio)
+    merged = _overlay(raw, out=args.out)
+    if args.command == "sweep":
+        flags = (("eta", args.eta), ("gamma_bs", args.gamma), ("drive", drive))
+        axes = {key: [v] for key, v in flags if v is not None}
+        merged["sweep"] = _overlay(raw.get("sweep", {}), cutoff=args.cutoff, **axes)
+        return merged
+    merged = _overlay(merged, eta=args.eta, gamma_bs=args.gamma)
+    drive_raw = raw.get("drive", {})
+    if isinstance(drive_raw, (int, float)):
+        drive_raw = {"gamma": drive_raw}
+    merged["drive"] = _overlay(drive_raw, gamma=drive, cutoff=args.cutoff)
+    c0, c1 = getattr(args, "input_c0", None), getattr(args, "input_c1", None)
+    if c0 is not None or c1 is not None:
+        merged["input"] = _overlay(raw.get("input", {}), c0=c0, c1=c1)
+    return merged
+
+
+def _overlay(section, **updates):
+    """``section`` with the non-None updates written over it; a non-object is left to parse_config."""
+    if not isinstance(section, dict):
+        return section
+    return {**section, **{key: v for key, v in updates.items() if v is not None}}
+
+
 def _parse_drive(raw) -> dict:
     if isinstance(raw, (int, float)):
-        raw = {"gamma": float(raw)}
+        raw = {"gamma": raw}
     if not isinstance(raw, dict):
         raise ConfigError("drive: must be a number or an object")
     for key in raw:
         if key not in {"gamma", "cutoff", "tail_eps"}:
             raise ConfigError(f"unknown config key 'drive.{key}'")
-    gamma = _parse_complex(raw.get("gamma", 1.0), "drive.gamma")
-    cutoff = raw.get("cutoff")
-    if cutoff is not None and (not isinstance(cutoff, int) or cutoff < 1):
-        raise ConfigError("drive.cutoff: must be a positive integer")
-    tail = raw.get("tail_eps", 1e-12)
-    if not isinstance(tail, (int, float)) or not 0 < tail < 1:
-        raise ConfigError("drive.tail_eps: must lie in (0, 1)")
-    return {"gamma": gamma, "cutoff": cutoff, "tail_eps": float(tail)}
+    cutoff = _check_cutoff(raw.get("cutoff"), "drive.cutoff")
+    tail = _check_tail_eps(raw.get("tail_eps", 1e-12), "drive.tail_eps")
+    gamma = _check_drive(raw.get("gamma", 1.0), "drive.gamma", cutoff, tail)
+    return {"gamma": gamma, "cutoff": cutoff, "tail_eps": tail}
 
 
 def _parse_input(raw) -> QubitAmplitudes:
@@ -225,9 +247,9 @@ def _parse_input(raw) -> QubitAmplitudes:
         raise ConfigError("input: must be an object with keys c0, c1")
     c0 = _parse_complex(raw.get("c0", 1.0), "input.c0")
     c1 = _parse_complex(raw.get("c1", 0.0), "input.c1")
-    norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
-    if norm == 0:
-        raise ConfigError("input: c0 and c1 cannot both vanish")
+    norm = math.hypot(abs(c0), abs(c1))
+    if not 0 < norm < math.inf:
+        raise ConfigError("input: c0 and c1 must be finite and not both zero")
     return QubitAmplitudes(c0 / norm, c1 / norm)
 
 
@@ -247,23 +269,18 @@ def _parse_sweep(raw) -> SweepGrid:
     for key in raw:
         if key not in {"eta", "gamma_bs", "drive", "cutoff", "tail_eps"}:
             raise ConfigError(f"unknown config key 'sweep.{key}'")
-    def listing(key, default):
-        values = raw.get(key, default)
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep.{key}: must be a non-empty list")
-        if not all(isinstance(v, (int, float)) for v in values):
-            raise ConfigError(f"sweep.{key}: values must be numbers")
+    def listing(key):
+        values = raw.get(key, DEFAULT_SWEEP[key])
+        if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+            raise ConfigError(f"sweep.{key}: must be a list of numbers")
         return values
-    try:
-        return SweepGrid(
-            eta=listing("eta", DEFAULT_SWEEP["eta"]),
-            gamma_bs=listing("gamma_bs", DEFAULT_SWEEP["gamma_bs"]),
-            drive=listing("drive", DEFAULT_SWEEP["drive"]),
-            cutoff=raw.get("cutoff"),
-            tail_eps=raw.get("tail_eps", 1e-12),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SweepGrid(
+        eta=listing("eta"),
+        gamma_bs=listing("gamma_bs"),
+        drive=listing("drive"),
+        cutoff=raw.get("cutoff"),
+        tail_eps=raw.get("tail_eps", 1e-12),
+    )
 
 
 def _parse_complex(raw, path: str) -> complex:
@@ -283,6 +300,40 @@ def _check_range(value, name, low, high, open_high=False) -> float:
         bracket = f"[{low}, {high})" if open_high else f"[{low}, {high}]"
         raise ConfigError(f"{name}: value {value} outside {bracket}")
     return value
+
+
+def _check_eta(value, path="eta") -> float:
+    return _check_range(value, path, 0.0, 1.0)
+
+
+def _check_gamma_bs(value, path="gamma_bs") -> float:
+    return _check_range(value, path, 0.0, 1.0, open_high=True)
+
+
+def _check_drive(raw, path, cutoff, tail_eps) -> complex:
+    """A real amplitude must be finite and positive, a pair must have a finite, nonzero modulus,
+    and the cutoff must resolve; |gamma|^2 must be a normal float so R = 1/|gamma|^2 is finite."""
+    gamma = _parse_complex(raw, path)
+    lam = abs(gamma) * abs(gamma)
+    if (isinstance(raw, (int, float)) and raw < 0) or not sys.float_info.min <= lam < math.inf:
+        raise ConfigError(f"{path}: drive amplitude {raw} must be finite and positive, |gamma|^2 normal")
+    try:
+        CoherentDrive(gamma, cutoff=cutoff, tail_eps=tail_eps).resolved_cutoff()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return gamma
+
+
+def _check_cutoff(value, path) -> int | None:
+    if value is not None and (not isinstance(value, int) or value < 1):
+        raise ConfigError(f"{path}: must be a positive integer")
+    return value
+
+
+def _check_tail_eps(value, path) -> float:
+    if not isinstance(value, (int, float)) or not 0 < value < 1:
+        raise ConfigError(f"{path}: must lie in (0, 1)")
+    return float(value)
 
 
 def evaluate_point(
@@ -388,29 +439,14 @@ def _result_payload(kind: str, result, settings: RunSettings) -> dict:
 
 
 def _cmd_single(kind: str, settings: RunSettings) -> int:
+    drive = CoherentDrive(settings.drive_gamma, cutoff=settings.cutoff, tail_eps=settings.tail_eps)
+    bs = BeamSplitterSpec.lossy_5050(settings.gamma_bs)
+    stage = dict(bs1=bs, bs2=bs, detectors=DetectorSpec(settings.eta), clicks=settings.clicks)
     if kind == "scissors":
-        cfg = ScissorsConfig(
-            drive=settings.drive(),
-            bs1=settings.beam_splitter(),
-            bs2=settings.beam_splitter(),
-            detectors=settings.detector(),
-            clicks=settings.clicks,
-        )
-        result = run_scissors(cfg)
+        result = run_scissors(ScissorsConfig(drive=drive, **stage))
     else:
-        qubit = settings.input_qubit
-        if qubit is None:
-            drive = settings.drive()
-            norm = math.sqrt(drive.qubit_norm_sq)
-            qubit = QubitAmplitudes(drive.amp0 / norm, drive.amp1 / norm)
-        cfg = TeleportConfig(
-            input_state=qubit,
-            bs1=settings.beam_splitter(),
-            bs2=settings.beam_splitter(),
-            detectors=settings.detector(),
-            clicks=settings.clicks,
-        )
-        result = run_teleport(cfg)
+        qubit = settings.input_qubit or QubitAmplitudes.from_drive(drive)
+        result = run_teleport(TeleportConfig(input_state=qubit, **stage))
     payload = _result_payload(kind, result, settings)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if settings.out:
@@ -420,8 +456,6 @@ def _cmd_single(kind: str, settings: RunSettings) -> int:
         f"{kind}: eta={format_float(settings.eta)} gamma={format_float(settings.gamma_bs)} "
         f"probability={format_float(result.probability)} fidelity={format_float(result.fidelity)}"
     )
-    if not 0.0 <= result.probability <= 1.0 or not 0.0 <= result.fidelity <= 1.0:
-        return 1
     return 0
 
 
@@ -481,7 +515,9 @@ def _cmd_bell_check() -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qscissors",
-        description="Simulate the zero/one-photon scissors teleporter and compare with closed-form oracles",
+        description="Simulate the zero/one-photon scissors teleporter and compare with "
+        "closed-form oracles. Flags override the same key of --config (for sweep, that axis). "
+        "Exit codes: 0 ok, 1 invariant violation or impossible outcome, 2 config error.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("scissors", "teleport", "pipeline", "sweep"):
@@ -500,83 +536,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_cli_settings(args) -> RunSettings:
-    cfg = parse_config(args.config) if args.config else parse_config({})
-    settings = settings_from_config(cfg)
-    updates = {}
-    if args.eta is not None:
-        updates["eta"] = _check_range(args.eta, "eta", 0.0, 1.0)
-    if args.gamma is not None:
-        updates["gamma_bs"] = _check_range(args.gamma, "gamma_bs", 0.0, 1.0, open_high=True)
-    if args.drive is not None and args.ratio is not None:
-        raise ConfigError("give either --drive or --ratio, not both")
-    if args.drive is not None:
-        if args.drive <= 0:
-            raise ConfigError("drive: amplitude must be positive")
-        updates["drive_gamma"] = complex(args.drive)
-    if args.ratio is not None:
-        if args.ratio <= 0:
-            raise ConfigError("ratio: must be positive")
-        updates["drive_gamma"] = complex(1.0 / math.sqrt(args.ratio))
-    if args.cutoff is not None:
-        if args.cutoff < 1:
-            raise ConfigError("cutoff: must be a positive integer")
-        updates["cutoff"] = args.cutoff
-    if args.out is not None:
-        updates["out"] = args.out
-    c0 = getattr(args, "input_c0", None)
-    c1 = getattr(args, "input_c1", None)
-    if c0 is not None or c1 is not None:
-        c0 = 1.0 if c0 is None else c0
-        c1 = 0.0 if c1 is None else c1
-        norm = math.sqrt(c0**2 + c1**2)
-        if norm == 0:
-            raise ConfigError("input: c0 and c1 cannot both vanish")
-        updates["input_qubit"] = QubitAmplitudes(c0 / norm, c1 / norm)
-    if updates:
-        settings = RunSettings(**{**_settings_dict(settings), **updates})
-    return settings
-
-
-def _settings_dict(settings: RunSettings) -> dict:
-    return {f.name: getattr(settings, f.name) for f in fields(RunSettings)}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "bell-check":
             return _cmd_bell_check()
+        cfg = parse_config(_merge_flags(_load_config(args.config) if args.config else {}, args))
         if args.command == "sweep":
-            cfg = parse_config(args.config) if args.config else parse_config({})
-            grid = cfg["sweep"]
-            if grid is None:
-                overrides = {}
-                if args.eta is not None:
-                    overrides["eta"] = [args.eta]
-                if args.gamma is not None:
-                    overrides["gamma_bs"] = [args.gamma]
-                if args.drive is not None:
-                    overrides["drive"] = [args.drive]
-                grid = SweepGrid(
-                    eta=overrides.get("eta", DEFAULT_SWEEP["eta"]),
-                    gamma_bs=overrides.get("gamma_bs", DEFAULT_SWEEP["gamma_bs"]),
-                    drive=overrides.get("drive", DEFAULT_SWEEP["drive"]),
-                    cutoff=args.cutoff,
-                )
-            out = args.out if args.out is not None else cfg["out"]
-            return _cmd_sweep(grid, out)
-        settings = _merge_cli_settings(args)
+            return _cmd_sweep(cfg["sweep"], cfg["out"])
+        settings = settings_from_config(cfg)
         if args.command == "pipeline":
             return _cmd_pipeline(settings)
         return _cmd_single(args.command, settings)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except (ImpossibleOutcomeError, ValueError) as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -130,10 +130,6 @@ class FockVector:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    @property
-    def is_subnormalized(self) -> bool:
-        return self.norm_sq() < 1.0 - 1e-10
-
     def amplitude(self, occupation: tuple[int, ...]) -> complex:
         return complex(self.amplitudes[self.register.index(occupation)])
 
@@ -279,8 +275,15 @@ class CoherentDrive:
         return max(0.0, 1.0 - total)
 
     def resolved_cutoff(self) -> int:
-        """Cutoff actually used, honouring the tail invariant."""
-        required = self._required_cutoff()
+        """Cutoff actually used, honouring the tail invariant.  It is at least
+        1, because the zero/one-photon target needs the one-photon amplitude."""
+        n_range = range(1, self.max_cutoff + 1)
+        required = next((n for n in n_range if self.tail_probability(n) < self.tail_eps), None)
+        if required is None:
+            raise ValueError(
+                f"tail_eps={self.tail_eps} unattainable at max_cutoff={self.max_cutoff} "
+                f"for |gamma|^2={abs(self.gamma) ** 2:.6g}"
+            )
         if self.cutoff is None:
             return required
         if self.cutoff < required:
@@ -289,18 +292,6 @@ class CoherentDrive:
                 f"cutoff {required} is required"
             )
         return self.cutoff
-
-    def _required_cutoff(self) -> int:
-        for n in range(self.max_cutoff + 1):
-            if self.tail_probability(n) < self.tail_eps:
-                return n
-        needed = self.max_cutoff + 1
-        while needed < 100000 and self.tail_probability(needed) >= self.tail_eps:
-            needed += 1
-        raise ValueError(
-            f"tail_eps={self.tail_eps} unattainable at max_cutoff={self.max_cutoff}; "
-            f"a cutoff of at least {needed} is required"
-        )
 
     def amplitude(self, n: int) -> complex:
         """Poissonian amplitude exp(-|g|^2/2) g^n / sqrt(n!)."""
@@ -333,12 +324,6 @@ class CoherentDrive:
     def qubit_norm_sq(self) -> float:
         """Combined weight of the vacuum and one-photon components."""
         return abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-
-    def target_qubit(self, label: str = "c") -> FockVector:
-        """Normalized zero/one-photon state proportional to (amp0, amp1)."""
-        c = math.sqrt(self.qubit_norm_sq)
-        reg = ModeRegister((label,), (1,))
-        return FockVector(reg, np.array([self.amp0 / c, self.amp1 / c]))
 
 
 def coherent_amplitudes(drive: CoherentDrive, label: str = "e") -> FockVector:

@@ -319,3 +319,17 @@ def test_pipeline_results_in_range_and_physical():
         assert 0.0 <= res.fidelity <= 1.0
         res.state.assert_physical()
     assert 0.0 <= fid <= 1.0
+
+
+def test_qubit_from_drive_is_the_normalized_zero_one_target():
+    drive = CoherentDrive(0.8 + 0.3j)
+    qubit = QubitAmplitudes.from_drive(drive)
+    norm = math.sqrt(abs(drive.amp0) ** 2 + abs(drive.amp1) ** 2)
+    assert qubit.c0 == pytest.approx(drive.amp0 / norm, abs=1e-15)
+    assert qubit.c1 == pytest.approx(drive.amp1 / norm, abs=1e-15)
+    vec = qubit.as_vector("a", cutoff=2)
+    assert vec.register.labels == ("a",)
+    assert vec.amplitudes[2] == 0
+    # the scissors stage uses the same builder for its target
+    res = run_scissors(ScissorsConfig(drive=drive, output_cutoff=2))
+    assert np.array_equal(res.target.amplitudes, qubit.as_vector("c", cutoff=2).amplitudes)

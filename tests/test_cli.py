@@ -1,8 +1,11 @@
 import json
 import math
+import re
+import time
 
 import pytest
 
+from qscissors import cli
 from qscissors.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -236,10 +239,103 @@ def test_cmd_bell_check_prints_resolved_assignment(capsys):
     assert "resolved assignment" in out
 
 
-def test_cmd_rejects_bad_flag_ranges(capsys):
-    assert main(["pipeline", "--eta", "1.5"]) == 2
+# (argv, exit code, pattern the single stderr line must start with); exit-0
+# rows print nothing to stderr
+BOUNDARY_TABLE = [
+    pytest.param(["pipeline", "--eta", "1.5"], 2, r"config error: eta", id="pipeline-eta-over-one"),
+    pytest.param(["scissors", "--eta", "0"], 1, r"run error: post-selection outcome", id="scissors-eta-0"),
+    pytest.param(["teleport", "--eta", "0"], 1, r"run error: post-selection outcome", id="teleport-eta-0"),
+    pytest.param(["pipeline", "--drive", "inf"], 2, r"config error: drive\.gamma: drive amplitude inf", id="drive-inf"),
+    pytest.param(["pipeline", "--drive", "nan"], 2, r"config error: drive\.gamma: drive amplitude nan", id="drive-nan"),
+    pytest.param(
+        ["pipeline", "--config", '{"drive": {"gamma": [1e308, 1e308]}}'],
+        2,
+        r"config error: drive\.gamma: drive amplitude",
+        id="drive-pair-overflow",
+    ),
+    pytest.param(
+        ["pipeline", "--drive", "100"],
+        2,
+        r"config error: drive\.gamma: tail_eps=1e-12 unattainable .*\|gamma\|\^2=10000$",
+        id="drive-100",
+    ),
+    pytest.param(["pipeline", "--drive", "1000"], 2, r"config error: drive\.gamma: .*unattainable", id="drive-1000"),
+    pytest.param(["pipeline", "--drive", "1e-7"], 0, None, id="drive-1e-7"),
+    pytest.param(
+        ["sweep", "--config", '{"sweep": {"tail_eps": "x"}}'], 2, r"config error: sweep\.tail_eps", id="sweep-tail-eps-x"
+    ),
+    pytest.param(
+        ["sweep", "--config", '{"sweep": {"cutoff": "x"}}'], 2, r"config error: sweep\.cutoff", id="sweep-cutoff-x"
+    ),
+    pytest.param(["pipeline", "--config", '{"drive": -1}'], 2, r"config error: drive\.gamma", id="config-drive-negative"),
+    pytest.param(["pipeline", "--drive", "-1"], 2, r"config error: drive\.gamma", id="flag-drive-negative"),
+    pytest.param(["sweep", "--drive", "-1"], 2, r"config error: sweep\.drive", id="sweep-drive-negative"),
+    pytest.param(
+        ["sweep", "--config", '{"sweep": {"eta": [1.0], "gamma_bs": [0.0], "drive": [1.0]}}', "--eta", "0.5"],
+        0,
+        None,
+        id="sweep-eta-flag-over-config",
+    ),
+    pytest.param(["sweep", "--ratio", "4", "--eta", "1", "--gamma", "0"], 0, None, id="sweep-ratio-flag"),
+    pytest.param(["scissors", "--config", '{"clicks": [50, 0]}'], 1, r"run error: clicks must lie in", id="clicks-50"),
+    pytest.param(["pipeline", "--ratio", "0"], 2, r"config error: ratio", id="ratio-0"),
+    pytest.param(["pipeline", "--drive", "1", "--ratio", "1"], 2, r"config error: give either", id="drive-and-ratio"),
+    pytest.param(
+        ["pipeline", "--cutoff", "3", "--drive", "2"],
+        2,
+        r"config error: drive\.gamma: cutoff 3 .*cutoff 25 is required$",
+        id="cutoff-3-drive-2",
+    ),
+    pytest.param(["teleport", "--input-c0", "0", "--input-c1", "0"], 2, r"config error: input", id="input-zero"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stderr_start", BOUNDARY_TABLE)
+def test_cmd_rejects_bad_flag_ranges(argv, code, stderr_start, capsys):
+    start = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - start < 10.0
     err = capsys.readouterr().err
-    assert "eta" in err
+    assert "Traceback" not in err
+    if stderr_start is None:
+        assert err == ""
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert re.match(stderr_start, lines[0]), lines[0]
+
+
+def _csv_rows(text):
+    header, *rows = text.splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def test_cmd_pipeline_tiny_drive_runs_with_cutoff_one(capsys):
+    assert main(["pipeline", "--drive", "1e-7"]) == 0
+    (row,) = _csv_rows(capsys.readouterr().out)
+    assert row["run_error"] == ""
+    assert all(math.isfinite(float(row[name])) for name in CSV_COLUMNS if name != "run_error")
+    assert float(row["truncation_error"]) <= 1e-12
+
+
+def test_cmd_sweep_flags_replace_config_axes(capsys):
+    grid = '{"sweep": {"eta": [1.0], "gamma_bs": [0.0], "drive": [1.0]}}'
+    assert main(["sweep", "--config", grid, "--eta", "0.5"]) == 0
+    (row,) = _csv_rows(capsys.readouterr().out)
+    assert float(row["eta"]) == 0.5
+    assert main(["sweep", "--ratio", "4", "--eta", "1", "--gamma", "0"]) == 0
+    (row,) = _csv_rows(capsys.readouterr().out)
+    assert float(row["drive_gamma"]) == pytest.approx(0.5)
+
+
+def test_cmd_internal_value_error_exits_one(monkeypatch, capsys):
+    # invariant checks (RunResult, fidelity) raise plain ValueErrors: exit 1
+    def broken(*args, **kwargs):
+        raise ValueError("fidelity 1.5 outside [0, 1] beyond slack")
+
+    monkeypatch.setattr(cli, "evaluate_point", broken)
+    assert main(["pipeline"]) == 1
+    assert capsys.readouterr().err == "run error: fidelity 1.5 outside [0, 1] beyond slack\n"
 
 
 def test_row_violation_logic():

@@ -92,6 +92,21 @@ def test_coherent_unattainable_tail_at_max_cutoff():
         CoherentDrive(3.0, max_cutoff=4).resolved_cutoff()
 
 
+def test_coherent_unattainable_message_names_mean_photon_number():
+    # the scan stops at max_cutoff even when exp(-|gamma|^2) underflows
+    with pytest.raises(ValueError, match=r"unattainable at max_cutoff=200 for \|gamma\|\^2=1e\+06"):
+        CoherentDrive(1000.0).resolved_cutoff()
+
+
+def test_coherent_tiny_drive_resolves_to_cutoff_one():
+    # the vacuum alone meets the tail bound, but the target needs |1>
+    drive = CoherentDrive(1e-7)
+    assert drive.resolved_cutoff() == 1
+    vec = coherent_amplitudes(drive)
+    assert vec.register.cutoffs == (1,)
+    assert 1.0 - vec.norm_sq() <= drive.tail_eps
+
+
 def test_coherent_complex_amplitude_phases():
     drive = CoherentDrive(1j)
     vec = coherent_amplitudes(drive)
