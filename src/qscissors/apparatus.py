@@ -27,6 +27,7 @@ from .channels import (
 from .fock import (
     CoherentDrive,
     DensityOperator,
+    FactoredState,
     FockVector,
     ModeRegister,
     basis_ket,
@@ -37,6 +38,9 @@ from .fock import (
 )
 
 BELL_LABELS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
+MEMORY_LIMIT_BYTES = 2 * 2**30
+# peak bytes per stored entry of the lifted splitter operator, measured at drive cutoffs 100-200
+BYTES_PER_OPERATOR_ENTRY = 110
 
 
 @dataclass(frozen=True)
@@ -236,80 +240,60 @@ def run_scissors(config: ScissorsConfig) -> RunResult:
     Mode cutoffs are sized so every element acts exactly on the retained
     photon-number blocks: with drive cutoff N, modes d and e get N + 1.
     """
+    check_scissors_memory(config.drive.resolved_cutoff(), config.output_cutoff)
     drive_vec = coherent_amplitudes(config.drive, label="e")
     n_drive = drive_vec.register.cutoffs[0]
-    budget = n_drive + 1
     tail = max(0.0, 1.0 - drive_vec.norm_sq())
-
-    reg_cd = ModeRegister(("c", "d"), (config.output_cutoff, 1))
-    rho = basis_ket(reg_cd, (1, 0)).to_density()
-    rho = apply_bs_channel(rho, ("c", "d"), config.bs1)
-    trace_defect = abs(rho.trace() - 1.0)
-
-    rho = pad_cutoffs(rho, {"d": budget})
-    drive_rho = pad_cutoffs(drive_vec, {"e": budget}).to_density()
-    rho = tensor(rho, drive_rho)
-    expected_trace = 1.0 - tail
-    rho = apply_bs_channel(rho, ("d", "e"), config.bs2)
-    trace_defect = max(trace_defect, abs(rho.trace() - expected_trace))
-
-    state, probability = postselect(
-        rho,
-        [
-            ("d", config.detectors, config.clicks[0]),
-            ("e", config.detectors, config.clicks[1]),
-        ],
-    )
     target = QubitAmplitudes.from_drive(config.drive).as_vector("c", config.output_cutoff)
-    fid = fidelity(state, target)
-    return RunResult(
-        state=state,
-        probability=probability,
-        fidelity=fid,
-        target=target,
-        diagnostics={
-            "truncation_error": tail,
-            "trace_defect": trace_defect,
-            "drive_cutoff": n_drive,
-        },
-    )
+    diagnostics = {"truncation_error": tail, "drive_cutoff": n_drive}
+    return _run_stage(("c", "d", "e"), config.output_cutoff, n_drive + 1, drive_vec, config, target, diagnostics)
+
+
+def check_scissors_memory(drive_cutoff: int, output_cutoff: int = 1):
+    """Refuse, before anything is allocated, a scissors register whose peak
+    memory estimate exceeds MEMORY_LIMIT_BYTES.  The peak is the sparse
+    splitter operator on modes (d, e), both of dim D = drive_cutoff + 2,
+    lifted over mode c: D^2 + (D-1) D (2D-1) / 3 block entries per c state."""
+    dim = drive_cutoff + 2
+    entries = (dim * dim + (dim - 1) * dim * (2 * dim - 1) // 3) * (output_cutoff + 1)
+    estimate = BYTES_PER_OPERATOR_ENTRY * entries
+    if estimate > MEMORY_LIMIT_BYTES:
+        raise ValueError(f"drive cutoff {drive_cutoff} needs an estimated {estimate} bytes, over {MEMORY_LIMIT_BYTES}")
 
 
 def run_teleport(config: TeleportConfig) -> RunResult:
     """Teleport the mode-c input onto mode a: entangle (a, b) from a single
     photon, mix c with b, post-select the click pattern on (b, c)."""
     rho_c, default_target = _teleport_input(config)
-
-    reg_ab = ModeRegister(("a", "b"), (1, 1))
-    rho_ab = basis_ket(reg_ab, (1, 0)).to_density()
-    rho_ab = apply_bs_channel(rho_ab, ("a", "b"), config.bs1)
-    trace_defect = abs(rho_ab.trace() - 1.0)
-
-    rho_ab = pad_cutoffs(rho_ab, {"b": 2})
-    rho_c = pad_cutoffs(rho_c, {"c": 2})
-    rho = tensor(rho_ab, rho_c)
-    expected_trace = rho.trace()
-    rho = apply_bs_channel(rho, ("b", "c"), config.bs2)
-    trace_defect = max(trace_defect, abs(rho.trace() - expected_trace))
-
-    state, probability = postselect(
-        rho,
-        [
-            ("b", config.detectors, config.clicks[0]),
-            ("c", config.detectors, config.clicks[1]),
-        ],
-    )
     target = config.target if config.target is not None else default_target
     if target is None:
         raise ValueError("a target is required when the input is a density operator")
-    fid = fidelity(state, target)
-    return RunResult(
-        state=state,
-        probability=probability,
-        fidelity=fid,
-        target=target,
-        diagnostics={"trace_defect": trace_defect},
+    return _run_stage(("a", "b", "c"), 1, 2, rho_c, config, target, {})
+
+
+def _run_stage(labels, out_cutoff, budget, probe, config, target, diagnostics) -> RunResult:
+    """The circuit both stages share, on labels (out, mid, probe): a photon on
+    ``out`` meets vacuum on ``mid`` at bs1, ``mid`` meets the probe state at
+    bs2 (both padded to ``budget``), and clicks on (mid, probe) are
+    post-selected.  The register propagates as a low-rank factor."""
+    out, mid, probe_label = labels
+    rho = FactoredState.from_state(basis_ket(ModeRegister((out, mid), (out_cutoff, 1)), (1, 0)))
+    rho = apply_bs_channel(rho, (out, mid), config.bs1)
+    trace_defect = abs(rho.trace() - 1.0)
+    probe = pad_cutoffs(FactoredState.from_state(probe), {probe_label: budget})
+    rho = tensor(pad_cutoffs(rho, {mid: budget}), probe)
+    expected_trace = rho.trace()
+    rho = apply_bs_channel(rho, (mid, probe_label), config.bs2)
+    trace_defect = max(trace_defect, abs(rho.trace() - expected_trace))
+    events = [(mid, config.detectors, config.clicks[0]), (probe_label, config.detectors, config.clicks[1])]
+    state, probability = postselect(rho, events)
+    diagnostics.update(
+        trace_defect=trace_defect,
+        register_dim=rho.register.dim,
+        state_rank=rho.rank,
+        compression_error=rho.compression_error,
     )
+    return RunResult(state, probability, fidelity(state, target), target, diagnostics)
 
 
 def full_pipeline(
@@ -331,12 +315,12 @@ def full_pipeline(
     return scissors_result, teleport_result, teleport_result.fidelity
 
 
-def _teleport_input(config: TeleportConfig) -> tuple[DensityOperator, FockVector | None]:
+def _teleport_input(config: TeleportConfig) -> tuple[FockVector | DensityOperator, FockVector | None]:
     state = config.input_state
     if state is None:
         raise ValueError("TeleportConfig.input_state is not set")
     if isinstance(state, QubitAmplitudes):
-        return state.as_vector("c").to_density(), state.as_vector("a")
+        return state.as_vector("c"), state.as_vector("a")
     if isinstance(state, DensityOperator):
         if state.register.n_modes != 1:
             raise ValueError("teleport input must be a single-mode state")

@@ -3,8 +3,9 @@
 Three models live here:
 
 * exact passive two-mode unitaries, built block-by-block in total photon
-  number so that every block with total photons within both mode cutoffs is
-  exactly unitary (truncation can never corrupt a retained block);
+  number from an eigendecomposition of each block's generator, so that every
+  block is unitary to float precision and blocks with total photons within
+  both mode cutoffs are exact (truncation can never corrupt a retained block);
 * lossy beam splitters as CPTP channels, realized as a unitary dilation onto
   two vacuum environment modes that is traced out immediately.  The dilation
   reproduces the element's noise covariance N = I - S S^dag when the
@@ -12,8 +13,9 @@ Three models live here:
   completion gives the same channel);
 * inefficient click detectors as diagonal binomial POVMs with post-selection.
 
-Applied channels keep density operators dense and lift sparse operators onto
-the register, so registers of a few thousand basis states stay cheap.
+Channels act on a low-rank factor rho = psi psi^dag (``fock.FactoredState``),
+so memory and work grow with dim * rank, never dim^2; the rank stays small
+because a coherent drive stays pure under loss.
 """
 
 from __future__ import annotations
@@ -25,14 +27,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import (
+    COMPRESSION_TOL,
     DensityOperator,
-    FockVector,
+    FactoredState,
     ModeRegister,
     partial_trace,
 )
 
 PSD_TOL = 1e-12
 LOSSLESS_TOL = 1e-14
+UNITARITY_TOL = 1e-12
 IMPOSSIBLE_PROBABILITY = 1e-300
 
 
@@ -156,9 +160,9 @@ class KrausChannel:
                 )
         out = np.zeros_like(rho.matrix)
         for k in self.operators:
-            lifted = lift_pair_operator(sp.csr_matrix(k), reg, modes)
-            out += _sandwich(lifted, rho.matrix)
-        return DensityOperator(reg, _hermitize(out), check=False)
+            lifted = lift_pair_operator(sp.csr_matrix(k), reg, modes).toarray()
+            out += lifted @ rho.matrix @ lifted.conj().T
+        return DensityOperator(reg, out, check=False)
 
 
 def two_mode_unitary_matrix(matrix_2x2: np.ndarray, cutoff1: int, cutoff2: int) -> np.ndarray:
@@ -167,44 +171,40 @@ def two_mode_unitary_matrix(matrix_2x2: np.ndarray, cutoff1: int, cutoff2: int) 
     Heisenberg convention: output operators are V times input operators, so a
     creation operator on input mode i maps to sum_j V[j, i] a_j^dag.  The
     result conserves total photon number and is exactly unitary on every block
-    with total photons <= min(cutoff1, cutoff2) when V is unitary.
+    with total photons <= min(cutoff1, cutoff2); V must be unitary.
     """
     return _blockwise_passive(matrix_2x2, cutoff1, cutoff2).toarray()
 
 
 def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int) -> sp.csr_matrix:
-    d1, d2 = cutoff1 + 1, cutoff2 + 1
-    v00, v10 = complex(v[0, 0]), complex(v[1, 0])
-    v01, v11 = complex(v[0, 1]), complex(v[1, 1])
+    """Sparse Fock operator exp(-i G) of a unitary V, G = sum_ij h_ij a_i^dag a_j
+    with h = i log V, built one block of total photons n at a time: there G is
+    tridiagonal over the states (m, n - m), and its Hermitian eigendecomposition
+    gives the block.  The log branch is centred on the determinant phase to
+    keep h well conditioned."""
+    if np.max(np.abs(v @ v.conj().T - np.eye(2))) > UNITARITY_TOL:
+        raise ValueError(f"passive matrix is not unitary within {UNITARITY_TOL}")
+    eigvals, eigvecs = np.linalg.eig(v)
+    centre = np.sqrt(eigvals[0] * eigvals[1])
+    centre = centre if (eigvals / centre).real.sum() >= 0 else -centre
+    h = -(eigvecs * (np.angle(centre) + np.angle(eigvals / centre))) @ np.linalg.inv(eigvecs)
+    h = (h + h.conj().T) / 2
+    d2 = cutoff2 + 1
     rows, cols, vals = [], [], []
     for ntot in range(cutoff1 + cutoff2 + 1):
-        ms = [m for m in range(ntot + 1) if m <= cutoff1 and ntot - m <= cutoff2]
-        for m in ms:  # input (m, ntot-m)
-            n2 = ntot - m
-            col = m * d2 + n2
-            lg_in = math.lgamma(m + 1) + math.lgamma(n2 + 1)
-            for p in ms:  # output (p, ntot-p)
-                q = ntot - p
-                amp = 0j
-                for k in range(max(0, p - n2), min(m, p) + 1):
-                    term = math.comb(m, k) * math.comb(n2, p - k)
-                    amp += (
-                        term
-                        * v00**k
-                        * v10 ** (m - k)
-                        * v01 ** (p - k)
-                        * v11 ** (n2 - (p - k))
-                    )
-                if amp == 0:
-                    continue
-                lg_out = math.lgamma(p + 1) + math.lgamma(q + 1)
-                amp *= math.exp(0.5 * (lg_out - lg_in))
-                rows.append(p * d2 + q)
-                cols.append(col)
-                vals.append(amp)
-    return sp.csr_matrix(
-        (np.array(vals, dtype=complex), (rows, cols)), shape=(d1 * d2, d1 * d2)
-    )
+        m = np.arange(max(0, ntot - cutoff2), min(ntot, cutoff1) + 1)
+        hop = h[0, 1] * np.sqrt((m[:-1] + 1.0) * (ntot - m[:-1]))  # a_1 photon moved to mode 0
+        gen = np.diag(h[0, 0] * m + h[1, 1] * (ntot - m)) + np.diag(hop, -1) + np.diag(hop.conj(), 1)
+        energies, basis = np.linalg.eigh(gen)
+        block = (basis * np.exp(-1j * energies)) @ basis.conj().T
+        index = m * d2 + ntot - m
+        rows.append(np.repeat(index, m.size))
+        cols.append(np.tile(index, m.size))
+        vals.append(block.reshape(-1))
+    shape = ((cutoff1 + 1) * d2,) * 2
+    op = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+    op.eliminate_zeros()  # a diagonal V (often an SVD factor) gives diagonal blocks
+    return op
 
 
 def ideal_bs_unitary(spec: BeamSplitterSpec, register: ModeRegister, modes: tuple[str, str]) -> np.ndarray:
@@ -327,14 +327,17 @@ def detector_povm(det: DetectorSpec, clicks: int, cutoff: int) -> np.ndarray:
     return diag
 
 
-def postselect(rho: DensityOperator, events) -> tuple[DensityOperator, float]:
+def postselect(rho, events) -> tuple[DensityOperator, float]:
     """Condition on detector outcomes and drop the measured modes.
 
-    ``events`` is a sequence of (mode label, DetectorSpec, clicks).  Returns
-    the normalized conditional state on the unmeasured modes and the outcome
-    probability.  A (numerically) impossible outcome raises
+    ``rho`` is a FactoredState or a DensityOperator; ``events`` is a sequence
+    of (mode label, DetectorSpec, clicks).  The POVM weights scale the rows of
+    the factor.  Returns the normalized conditional state on the unmeasured
+    modes and the outcome probability.  A (numerically) impossible outcome raises
     ImpossibleOutcomeError instead of producing a NaN state.
     """
+    if isinstance(rho, DensityOperator):
+        rho = FactoredState.from_state(rho)
     reg = rho.register
     seen = set()
     weights = {}
@@ -347,39 +350,66 @@ def postselect(rho: DensityOperator, events) -> tuple[DensityOperator, float]:
     w_full = np.ones(reg.dim)
     for label, w in weights.items():
         w_full *= w[occ[:, reg.position(label)]]
-    probability = float(np.real(np.sum(w_full * np.diag(rho.matrix))))
+    weighted = FactoredState(reg, np.sqrt(w_full)[:, None] * rho.amplitudes)
+    probability = weighted.trace()
     if probability < IMPOSSIBLE_PROBABILITY:
         raise ImpossibleOutcomeError(probability)
-    sqrt_w = np.sqrt(w_full)
-    weighted = rho.matrix * np.outer(sqrt_w, sqrt_w)
     keep = [l for l in reg.labels if l not in seen]
-    reduced = partial_trace(DensityOperator(reg, weighted, check=False), keep)
-    return reduced.normalized(), min(probability, 1.0)
+    return partial_trace(weighted, keep).normalized(), min(probability, 1.0)
 
 
-def apply_bs_channel(rho: DensityOperator, modes: tuple[str, str], spec: BeamSplitterSpec) -> DensityOperator:
+def apply_bs_channel(rho, modes: tuple[str, str], spec: BeamSplitterSpec):
     """Send two modes of a register state through a (possibly lossy) beam
     splitter, tracing the environment immediately.
 
-    Lossless specs apply the exact block unitary.  Lossy specs use the
-    singular value decomposition S = W diag(s) X^dag, i.e. a passive unitary,
-    independent single-mode attenuators of transmissivity s_i^2, and a second
-    passive unitary.  With a vacuum environment this is the same CPTP channel
-    as the explicit dilation Kraus set (the channel only depends on S), at a
-    fraction of the cost.
+    ``rho`` is a FactoredState, or a DensityOperator (factored on entry and
+    returned dense).  Lossless specs apply the exact block unitary.  Lossy
+    specs use the SVD S = W diag(s) X^dag: a passive unitary, single-mode
+    attenuators of transmissivity s_i^2, and a second passive unitary; with a
+    vacuum environment this is the explicit dilation's channel (it only
+    depends on S).
     """
-    reg = rho.register
+    dense = isinstance(rho, DensityOperator)
+    state = FactoredState.from_state(rho) if dense else rho
     if spec.is_lossless:
-        u = _lifted_passive(spec.scattering_matrix, reg, modes)
-        return DensityOperator(reg, _hermitize(_sandwich(u, rho.matrix)), check=False)
-    w, svals, xh = np.linalg.svd(spec.scattering_matrix)
-    u_in = _lifted_passive(xh, reg, modes)
-    u_out = _lifted_passive(w, reg, modes)
-    mat = _sandwich(u_in, rho.matrix)
-    for label, s in zip(modes, svals):
-        mat = _apply_mode_attenuation(mat, reg, label, min(float(s) ** 2, 1.0))
-    mat = _sandwich(u_out, mat)
-    return DensityOperator(reg, _hermitize(mat), check=False)
+        state = _passive(state, spec.scattering_matrix, modes)
+    else:
+        w, svals, xh = np.linalg.svd(spec.scattering_matrix)
+        state = _passive(state, xh, modes)
+        for label, s in zip(modes, svals):
+            state = _attenuate(state, label, min(float(s) ** 2, 1.0))
+        state = _passive(state, w, modes)
+    return state.to_density() if dense else state
+
+
+def _passive(state: FactoredState, v: np.ndarray, modes: tuple[str, str]) -> FactoredState:
+    reg = state.register
+    c1 = reg.cutoffs[reg.position(modes[0])]
+    c2 = reg.cutoffs[reg.position(modes[1])]
+    op = lift_pair_operator(_blockwise_passive(v, c1, c2), reg, modes)
+    return FactoredState(reg, op @ state.amplitudes, state.compression_error)
+
+
+def _attenuate(state: FactoredState, label: str, tau: float) -> FactoredState:
+    """Loss A_k |n> = sqrt(C(n,k) tau^(n-k) (1-tau)^k) |n-k> on one mode: the
+    branches A_k psi, bar those below COMPRESSION_TOL, are stacked as columns
+    and re-compressed; dropped weight goes to ``compression_error``."""
+    if tau >= 1.0:
+        return state
+    reg = state.register
+    pos = reg.position(label)
+    d = reg.dims[pos]
+    amps = state.amplitudes.reshape(-1, d, int(np.prod(reg.dims[pos + 1 :])), state.rank)
+    n = np.arange(d)
+    comb = np.array([[math.comb(nn, k) for nn in range(d)] for k in range(d)], dtype=float)
+    amp_k = np.sqrt(comb * tau ** np.maximum(n - n[:, None], 0) * (1 - tau) ** n[:, None])
+    branch_weight = amp_k**2 @ (np.abs(amps) ** 2).sum(axis=(0, 2, 3))
+    kept = branch_weight > COMPRESSION_TOL * branch_weight.sum()
+    out = np.zeros(amps.shape[:3] + (int(kept.sum()), state.rank), dtype=complex)
+    for i, k in enumerate(np.flatnonzero(kept)):
+        out[:, : d - k, :, i] = amp_k[k, k:, None, None] * amps[:, k:]
+    dropped = float(branch_weight[~kept].sum())
+    return FactoredState(reg, out.reshape(reg.dim, -1), state.compression_error + dropped).compressed()
 
 
 def attenuation_kraus(tau: float, cutoff: int) -> list:
@@ -396,36 +426,6 @@ def attenuation_kraus(tau: float, cutoff: int) -> list:
         if np.any(a):
             ops.append(a)
     return ops
-
-
-def _apply_mode_attenuation(mat: np.ndarray, reg: ModeRegister, label: str, tau: float) -> np.ndarray:
-    if tau >= 1.0:
-        return mat
-    pos = reg.position(label)
-    dims = reg.dims
-    n = reg.n_modes
-    d = dims[pos]
-    t = mat.reshape(dims + dims)
-    out = np.zeros_like(t)
-    ns = np.arange(d)
-    for k in range(d):
-        w = np.zeros(d)
-        w[k:] = np.sqrt(
-            [math.comb(int(nn), k) * tau ** (int(nn) - k) * (1 - tau) ** k for nn in ns[k:]]
-        )
-        src = [slice(None)] * (2 * n)
-        dst = [slice(None)] * (2 * n)
-        src[pos] = slice(k, d)
-        dst[pos] = slice(0, d - k)
-        src[n + pos] = slice(k, d)
-        dst[n + pos] = slice(0, d - k)
-        row_shape = [1] * (2 * n)
-        row_shape[pos] = d - k
-        col_shape = [1] * (2 * n)
-        col_shape[n + pos] = d - k
-        wk = w[k:]
-        out[tuple(dst)] += wk.reshape(row_shape) * wk.reshape(col_shape) * t[tuple(src)]
-    return out.reshape(mat.shape)
 
 
 def lift_pair_operator(op, register: ModeRegister, modes: tuple[str, str]) -> sp.csr_matrix:
@@ -453,19 +453,3 @@ def lift_pair_operator(op, register: ModeRegister, modes: tuple[str, str]) -> sp
     vals = np.repeat(coo.data, base.size)
     full = sp.coo_matrix((vals, (rows, cols)), shape=(register.dim, register.dim))
     return full.tocsr()
-
-
-def _lifted_passive(v: np.ndarray, reg: ModeRegister, modes: tuple[str, str]) -> sp.csr_matrix:
-    c1 = reg.cutoffs[reg.position(modes[0])]
-    c2 = reg.cutoffs[reg.position(modes[1])]
-    return lift_pair_operator(_blockwise_passive(v, c1, c2), reg, modes)
-
-
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2
-
-
-def _sandwich(op, hermitian_mat: np.ndarray) -> np.ndarray:
-    """op @ m @ op^dag for Hermitian m, using only (sparse) op @ dense products."""
-    tmp = np.asarray(op @ hermitian_mat)
-    return np.asarray(op @ tmp.conj().T).conj().T

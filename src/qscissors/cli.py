@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -33,6 +34,7 @@ from .apparatus import (
     TeleportConfig,
     bell_click_assignment,
     bs_action_on_bell,
+    check_scissors_memory,
     full_pipeline,
     run_scissors,
     run_teleport,
@@ -158,6 +160,8 @@ def parse_config(source) -> dict:
     out["out"] = raw.get("out")
     if out["out"] is not None and not isinstance(out["out"], str):
         raise ConfigError("out: must be a path string")
+    if out["out"] is not None and not os.access(os.path.dirname(os.path.abspath(out["out"])), os.W_OK):
+        raise ConfigError(f"cannot write {out['out']!r}: its directory is missing or not writable")
     return out
 
 
@@ -312,13 +316,14 @@ def _check_gamma_bs(value, path="gamma_bs") -> float:
 
 def _check_drive(raw, path, cutoff, tail_eps) -> complex:
     """A real amplitude must be finite and positive, a pair must have a finite, nonzero modulus,
-    and the cutoff must resolve; |gamma|^2 must be a normal float so R = 1/|gamma|^2 is finite."""
+    and the cutoff must resolve and fit the memory limit; |gamma|^2 must be a normal float so
+    R = 1/|gamma|^2 is finite."""
     gamma = _parse_complex(raw, path)
     lam = abs(gamma) * abs(gamma)
     if (isinstance(raw, (int, float)) and raw < 0) or not sys.float_info.min <= lam < math.inf:
         raise ConfigError(f"{path}: drive amplitude {raw} must be finite and positive, |gamma|^2 normal")
     try:
-        CoherentDrive(gamma, cutoff=cutoff, tail_eps=tail_eps).resolved_cutoff()
+        check_scissors_memory(CoherentDrive(gamma, cutoff=cutoff, tail_eps=tail_eps).resolved_cutoff())
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return gamma
@@ -550,6 +555,9 @@ def main(argv=None) -> int:
         return _cmd_single(args.command, settings)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"config error: cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
         return 2
     except (ImpossibleOutcomeError, ValueError) as exc:
         print(f"run error: {exc}", file=sys.stderr)

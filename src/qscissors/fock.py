@@ -21,6 +21,8 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 NORM_SLACK = 1e-12
+# eigen-weights below this fraction of the trace are dropped by rank compression
+COMPRESSION_TOL = 1e-14
 
 BASIS_ORDER_NOTE = "lexicographic over occupation tuples, last mode fastest (row-major)"
 
@@ -243,6 +245,51 @@ class DensityOperator:
         return f"DensityOperator(modes={self.register.labels}, trace={self.trace():.6g})"
 
 
+class FactoredState:
+    """Mixed state rho = psi psi^dag held as its factor: ``amplitudes`` is psi,
+    shape (dim, rank), one sub-normalized ensemble member per column.
+    ``compression_error`` is the trace dropped so far by rank compression."""
+
+    def __init__(self, register: ModeRegister, amplitudes: np.ndarray, compression_error: float = 0.0):
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        if amplitudes.ndim != 2 or amplitudes.shape[0] != register.dim:
+            raise ValueError(f"factor has shape {amplitudes.shape}, register needs ({register.dim}, rank)")
+        self.register = register
+        self.amplitudes = amplitudes
+        self.compression_error = compression_error
+
+    @classmethod
+    def from_state(cls, state) -> "FactoredState":
+        """Factor a FockVector (rank 1) or a DensityOperator (by its eigendecomposition)."""
+        if isinstance(state, FockVector):
+            return cls(state.register, state.amplitudes[:, None])
+        vals, vecs = np.linalg.eigh(state.matrix)
+        return cls(state.register, vecs * np.sqrt(np.clip(vals, 0.0, None)))._keep_dominant(vals)
+
+    @property
+    def rank(self) -> int:
+        return self.amplitudes.shape[1]
+
+    def trace(self) -> float:
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+
+    def compressed(self) -> "FactoredState":
+        """The same state on the fewest columns, from the eigendecomposition of
+        the small Gram matrix psi^dag psi."""
+        vals, vecs = np.linalg.eigh(self.amplitudes.conj().T @ self.amplitudes)
+        return FactoredState(self.register, self.amplitudes @ vecs, self.compression_error)._keep_dominant(vals)
+
+    def _keep_dominant(self, weights: np.ndarray) -> "FactoredState":
+        """Keep the columns whose weight exceeds COMPRESSION_TOL of the total;
+        the dropped weight is added to ``compression_error``."""
+        keep = weights > COMPRESSION_TOL * max(float(weights.sum()), 0.0)
+        dropped = float(np.clip(weights[~keep], 0.0, None).sum())
+        return FactoredState(self.register, self.amplitudes[:, keep], self.compression_error + dropped)
+
+    def to_density(self) -> DensityOperator:
+        return DensityOperator(self.register, self.amplitudes @ self.amplitudes.conj().T, check=False)
+
+
 @dataclass(frozen=True)
 class CoherentDrive:
     """Coherent field driving the auxiliary port, with explicit truncation control.
@@ -345,22 +392,31 @@ def basis_ket(register: ModeRegister, occupation: tuple[int, ...]) -> FockVector
 
 
 def tensor(x, y):
-    """Kronecker composition of two states of the same kind, in basis order."""
+    """Kronecker composition of two states of the same kind, in basis order
+    (for factors, every pair of columns)."""
     reg = x.register.merged(y.register)
     if isinstance(x, FockVector) and isinstance(y, FockVector):
         return FockVector(reg, np.kron(x.amplitudes, y.amplitudes))
+    if isinstance(x, FactoredState) and isinstance(y, FactoredState):
+        return FactoredState(reg, np.kron(x.amplitudes, y.amplitudes), x.compression_error + y.compression_error)
     if isinstance(x, DensityOperator) and isinstance(y, DensityOperator):
         return DensityOperator(reg, np.kron(x.matrix, y.matrix), check=False)
-    raise TypeError("tensor requires two FockVectors or two DensityOperators")
+    raise TypeError("tensor requires two states of the same kind")
 
 
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Trace out all modes not in ``keep``; preserves trace and Hermiticity."""
+def partial_trace(rho, keep) -> DensityOperator:
+    """Trace out all modes not in ``keep``; preserves trace and Hermiticity.
+    A FactoredState's factor, kept modes first, is a matrix M: rho = M M^dag."""
     keep = [keep] if isinstance(keep, str) else list(keep)
     reg = rho.register
     keep_pos = [reg.position(l) for l in keep]
     n = reg.n_modes
     dims = reg.dims
+    sub = reg.subregister(keep)
+    if isinstance(rho, FactoredState):
+        order = keep_pos + [i for i in range(n + 1) if i not in keep_pos]
+        m = rho.amplitudes.reshape(dims + (rho.rank,)).transpose(order).reshape(sub.dim, -1)
+        return DensityOperator(sub, m @ m.conj().T, check=False)
     tensor_form = rho.matrix.reshape(dims + dims)
     row_axes = list(range(n))
     col_axes = [n + i for i in range(n)]
@@ -370,7 +426,6 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
             col_axes[i] = row_axes[i]
     out_subscripts = [row_axes[i] for i in keep_pos] + [col_axes[i] for i in keep_pos]
     reduced = np.einsum(tensor_form, row_axes + col_axes, out_subscripts)
-    sub = reg.subregister(keep)
     return DensityOperator(sub, reduced.reshape(sub.dim, sub.dim), check=False)
 
 
@@ -390,7 +445,8 @@ def fidelity(rho: DensityOperator, target: FockVector) -> float:
 
 
 def pad_cutoffs(state, new_cutoffs: dict):
-    """Embed a state into a register with enlarged cutoffs (zero padding)."""
+    """Embed a FockVector or FactoredState into a register with enlarged
+    cutoffs (zero padding)."""
     reg = state.register
     cutoffs = tuple(max(c, int(new_cutoffs.get(l, c))) for l, c in zip(reg.labels, reg.cutoffs))
     for l, c_new in new_cutoffs.items():
@@ -399,14 +455,12 @@ def pad_cutoffs(state, new_cutoffs: dict):
     big = ModeRegister(reg.labels, cutoffs)
     if big.dims == reg.dims:
         return state
-    src = tuple(slice(0, d) for d in reg.dims)
+    columns = state.amplitudes.shape[1:]
+    amps = np.zeros(big.dims + columns, dtype=complex)
+    amps[tuple(slice(0, d) for d in reg.dims)] = state.amplitudes.reshape(reg.dims + columns)
     if isinstance(state, FockVector):
-        amps = np.zeros(big.dims, dtype=complex)
-        amps[src] = state.amplitudes.reshape(reg.dims)
         return FockVector(big, amps.reshape(-1))
-    mat = np.zeros(big.dims + big.dims, dtype=complex)
-    mat[src + src] = state.matrix.reshape(reg.dims + reg.dims)
-    return DensityOperator(big, mat.reshape(big.dim, big.dim), check=False)
+    return FactoredState(big, amps.reshape(big.dim, -1), state.compression_error)
 
 
 def _require_same_register(a: ModeRegister, b: ModeRegister):

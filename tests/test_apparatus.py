@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from qscissors.analytic import NoiseParams, teleport_norm, truncation_norm
 from qscissors.apparatus import (
+    MEMORY_LIMIT_BYTES,
     QubitAmplitudes,
     ScissorsConfig,
     TeleportConfig,
@@ -12,6 +14,7 @@ from qscissors.apparatus import (
     bell_decompose,
     bell_states,
     bs_action_on_bell,
+    check_scissors_memory,
     full_pipeline,
     ideal_channel,
     reconstruct_joint,
@@ -319,6 +322,39 @@ def test_pipeline_results_in_range_and_physical():
         assert 0.0 <= res.fidelity <= 1.0
         res.state.assert_physical()
     assert 0.0 <= fid <= 1.0
+
+
+def test_large_drives_stay_exact_low_rank_and_fast():
+    # drive 6 (cutoff 86, register dim 15488) needs 3.8 GB as a dense rho;
+    # the factored register runs it in well under a second
+    eta, gamma_bs = 0.5, 0.1
+    start = time.perf_counter()
+    for g in (3.0, 6.0):
+        cfg = lossy_cfg(eta, gamma_bs, g)
+        params = NoiseParams.from_drive(eta, gamma_bs, CoherentDrive(g))
+        norm15 = truncation_norm(params, BeamSplitterSpec.lossy_5050(gamma_bs)).value
+        alone = run_scissors(cfg)
+        s_res, t_res, _ = full_pipeline(cfg)
+        for res in (alone, s_res):
+            assert res.fidelity == pytest.approx(closed_form_scissors_fidelity(eta, gamma_bs, g), abs=1e-9)
+            assert res.probability * norm15 == pytest.approx(1.0, rel=1e-9)
+        expected = eta * ((1 - gamma_bs) / 2) ** 2
+        pair = s_res.probability * t_res.probability * teleport_norm(params).value
+        assert pair == pytest.approx(expected, rel=1e-9)
+        for res in (alone, s_res, t_res):
+            assert res.diagnostics["compression_error"] <= 1e-12
+            assert res.diagnostics["state_rank"] <= 16
+        assert s_res.diagnostics["register_dim"] == 2 * (s_res.diagnostics["drive_cutoff"] + 2) ** 2
+    assert time.perf_counter() - start < 15.0
+
+
+def test_memory_estimate_admits_every_auto_cutoff_and_refuses_larger_ones():
+    # the estimate comes from register dims alone, so nothing is allocated here
+    check_scissors_memory(CoherentDrive(1.0).max_cutoff)
+    with pytest.raises(ValueError, match=r"cutoff 400 needs an estimated \d+ bytes"):
+        check_scissors_memory(400)
+    with pytest.raises(ValueError, match=str(MEMORY_LIMIT_BYTES)):
+        run_scissors(ScissorsConfig(drive=CoherentDrive(1.0, cutoff=10**6)))
 
 
 def test_qubit_from_drive_is_the_normalized_zero_one_target():

@@ -6,6 +6,7 @@ import pytest
 from qscissors.analytic import combined_damping
 from qscissors.channels import (
     BeamSplitterSpec,
+    _blockwise_passive,
     DetectorSpec,
     ImpossibleOutcomeError,
     apply_bs_channel,
@@ -162,6 +163,26 @@ def test_general_passive_matrix_matches_expm_reference():
     reg = ModeRegister(("x", "y"), (4, 4))
     keep = reg.total_photons() <= 4
     assert np.max(np.abs(mine[np.ix_(keep, keep)] - ref[np.ix_(keep, keep)])) < 1e-10
+
+
+@pytest.mark.parametrize("cutoff", [26, 37, 52, 87])
+def test_passive_build_retained_blocks_stay_unitary(cutoff):
+    # the SVD factor the lossy channel applies; blocks come out of the sparse
+    # operator one at a time (a dense cutoff-87 matrix would need 960 MB)
+    w, _, _ = np.linalg.svd(BeamSplitterSpec.lossy_5050(0.02).scattering_matrix)
+    op = _blockwise_passive(w, cutoff, cutoff).tocsr()
+    for n in range(cutoff + 1):
+        index = np.array([m * (cutoff + 1) + n - m for m in range(n + 1)])
+        block = op[index][:, index].toarray()
+        defect = np.max(np.abs(block.conj().T @ block - np.eye(n + 1)))
+        assert defect <= 1e-13, f"block {n}: unitarity defect {defect:.2e}"
+
+
+def test_passive_build_rejects_non_unitary_matrix():
+    with pytest.raises(ValueError, match="not unitary"):
+        _blockwise_passive(BeamSplitterSpec.lossy_5050(0.02).scattering_matrix, 3, 3)
+    with pytest.raises(ValueError, match="not unitary"):
+        _blockwise_passive(np.eye(2) * (1 + 1e-11), 3, 3)
 
 
 # ---------------------------------------------------------------- dilation

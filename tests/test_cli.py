@@ -287,6 +287,25 @@ BOUNDARY_TABLE = [
         id="cutoff-3-drive-2",
     ),
     pytest.param(["teleport", "--input-c0", "0", "--input-c1", "0"], 2, r"config error: input", id="input-zero"),
+    pytest.param(
+        ["scissors", "--out", "/nonexistent_dir/x"], 2, r"config error: cannot write", id="scissors-out-missing-dir"
+    ),
+    pytest.param(
+        ["teleport", "--out", "/nonexistent_dir/x"], 2, r"config error: cannot write", id="teleport-out-missing-dir"
+    ),
+    pytest.param(
+        ["pipeline", "--drive", "0.5", "--out", "/nonexistent_dir/x"],
+        2,
+        r"config error: cannot write",
+        id="pipeline-out-missing-dir",
+    ),
+    pytest.param(["sweep", "--out", "/nonexistent_dir/x"], 2, r"config error: cannot write", id="sweep-out-missing-dir"),
+    pytest.param(
+        ["pipeline", "--drive", "1", "--cutoff", "400"],
+        2,
+        r"config error: drive\.gamma: drive cutoff 400 needs an estimated \d+ bytes",
+        id="cutoff-400-over-memory-limit",
+    ),
 ]
 
 

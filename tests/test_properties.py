@@ -1,6 +1,7 @@
 """Property tests over random physical inputs: every run post-selects with a
 probability in [0, 1] onto a unit-trace, Hermitian, positive conditional
-state, and the scissors stage keeps its drive tail below tail_eps."""
+state, and the scissors stage keeps its drive tail below tail_eps and its
+rank-compression loss below 1e-12."""
 
 import cmath
 import math
@@ -32,7 +33,7 @@ clicks = st.sampled_from([(1, 0), (0, 1)])
 
 @st.composite
 def drives(draw):
-    return CoherentDrive(cmath.rect(draw(st.floats(min_value=1e-3, max_value=1.5)), draw(phases)))
+    return CoherentDrive(cmath.rect(draw(st.floats(min_value=1e-3, max_value=4.0)), draw(phases)))
 
 
 @st.composite
@@ -56,6 +57,7 @@ def test_scissors_outcome_is_physical(spec, eta, drive, pattern):
     )
     assert_physical_outcome(result)
     assert result.diagnostics["truncation_error"] <= drive.tail_eps
+    assert result.diagnostics["compression_error"] <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
