@@ -39,8 +39,9 @@ from .fock import (
 
 BELL_LABELS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
 MEMORY_LIMIT_BYTES = 2 * 2**30
-# peak bytes per stored entry of the lifted splitter operator, measured at drive cutoffs 100-200
-BYTES_PER_OPERATOR_ENTRY = 110
+# peak bytes per stored entry of the lifted splitter operator, with margin (ru_maxrss above
+# the imported interpreter at drive cutoffs 100/150/200: 52/43/41)
+BYTES_PER_OPERATOR_ENTRY = 56
 
 
 @dataclass(frozen=True)

@@ -178,33 +178,48 @@ def two_mode_unitary_matrix(matrix_2x2: np.ndarray, cutoff1: int, cutoff2: int) 
 
 def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int) -> sp.csr_matrix:
     """Sparse Fock operator exp(-i G) of a unitary V, G = sum_ij h_ij a_i^dag a_j
-    with h = i log V, built one block of total photons n at a time: there G is
-    tridiagonal over the states (m, n - m), and its Hermitian eigendecomposition
-    gives the block.  The log branch is centred on the determinant phase to
-    keep h well conditioned."""
+    with h = i log V.  On the block of total photons n, G is tridiagonal over
+    the states (m, n - m); conjugating by the phases exp(i k arg h_01) makes it
+    real, and blocks of equal size share one batched eigendecomposition.  The
+    log branch is centred on the determinant phase to keep h well conditioned.
+    A diagonal V gives the exact phases V00^m V11^n."""
     if np.max(np.abs(v @ v.conj().T - np.eye(2))) > UNITARITY_TOL:
         raise ValueError(f"passive matrix is not unitary within {UNITARITY_TOL}")
+    d2 = cutoff2 + 1
+    dim = (cutoff1 + 1) * d2
+    shape = (dim, dim)
+    if v[0, 1] == 0 and v[1, 0] == 0:
+        powers0 = np.cumprod(np.append(1, np.full(cutoff1, v[0, 0])))
+        powers1 = np.cumprod(np.append(1, np.full(cutoff2, v[1, 1])))
+        return sp.csr_matrix((np.outer(powers0, powers1).ravel(), np.arange(dim), np.arange(dim + 1)), shape=shape)
     eigvals, eigvecs = np.linalg.eig(v)
     centre = np.sqrt(eigvals[0] * eigvals[1])
     centre = centre if (eigvals / centre).real.sum() >= 0 else -centre
     h = -(eigvecs * (np.angle(centre) + np.angle(eigvals / centre))) @ np.linalg.inv(eigvecs)
     h = (h + h.conj().T) / 2
-    d2 = cutoff2 + 1
-    rows, cols, vals = [], [], []
-    for ntot in range(cutoff1 + cutoff2 + 1):
-        m = np.arange(max(0, ntot - cutoff2), min(ntot, cutoff1) + 1)
-        hop = h[0, 1] * np.sqrt((m[:-1] + 1.0) * (ntot - m[:-1]))  # a_1 photon moved to mode 0
-        gen = np.diag(h[0, 0] * m + h[1, 1] * (ntot - m)) + np.diag(hop, -1) + np.diag(hop.conj(), 1)
-        energies, basis = np.linalg.eigh(gen)
-        block = (basis * np.exp(-1j * energies)) @ basis.conj().T
-        index = m * d2 + ntot - m
-        rows.append(np.repeat(index, m.size))
-        cols.append(np.tile(index, m.size))
-        vals.append(block.reshape(-1))
-    shape = ((cutoff1 + 1) * d2,) * 2
-    op = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
-    op.eliminate_zeros()  # a diagonal V (often an SVD factor) gives diagonal blocks
-    return op
+    m, n = np.divmod(np.arange(dim), d2)
+    totals = np.arange(cutoff1 + cutoff2 + 1)
+    lowest = np.maximum(0, totals - cutoff2)
+    sizes = np.minimum(totals, cutoff1) - lowest + 1
+    indptr = np.concatenate(([0], np.cumsum(sizes[m + n])))
+    data = np.empty(indptr[-1], dtype=complex)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    energy = h[0, 0].real * m + h[1, 1].real * n
+    hop = abs(h[0, 1]) * np.sqrt((m + 1.0) * n)  # couples (m, n) to (m + 1, n - 1)
+    k = np.arange(sizes.max())
+    phases = np.exp(1j * np.angle(h[0, 1]) * (k[:, None] - k))
+    for size in np.unique(sizes):
+        ntot = totals[sizes == size, None]
+        index = (lowest[ntot] + k[:size]) * cutoff2 + ntot  # (blocks, size) rows of the block states
+        gen = np.zeros((ntot.size, size * size))
+        gen[:, :: size + 1] = energy[index]
+        gen[:, 1 :: size + 1] = gen[:, size :: size + 1] = hop[index[:, :-1]]
+        energies, basis = np.linalg.eigh(gen.reshape(-1, size, size))
+        blocks = (basis * np.exp(-1j * energies)[:, None, :]) @ basis.transpose(0, 2, 1)
+        slots = indptr[index][:, :, None] + k[:size]
+        data[slots] = blocks * phases[:size, :size]
+        indices[slots] = index[:, None, :]
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def ideal_bs_unitary(spec: BeamSplitterSpec, register: ModeRegister, modes: tuple[str, str]) -> np.ndarray:
@@ -399,57 +414,46 @@ def _attenuate(state: FactoredState, label: str, tau: float) -> FactoredState:
     reg = state.register
     pos = reg.position(label)
     d = reg.dims[pos]
-    amps = state.amplitudes.reshape(-1, d, int(np.prod(reg.dims[pos + 1 :])), state.rank)
+    post = reg.strides[pos]
+    amps = state.amplitudes.reshape(-1, d * post, state.rank)
     n = np.arange(d)
-    comb = np.array([[math.comb(nn, k) for nn in range(d)] for k in range(d)], dtype=float)
-    amp_k = np.sqrt(comb * tau ** np.maximum(n - n[:, None], 0) * (1 - tau) ** n[:, None])
-    branch_weight = amp_k**2 @ (np.abs(amps) ** 2).sum(axis=(0, 2, 3))
-    kept = branch_weight > COMPRESSION_TOL * branch_weight.sum()
-    out = np.zeros(amps.shape[:3] + (int(kept.sum()), state.rank), dtype=complex)
-    for i, k in enumerate(np.flatnonzero(kept)):
-        out[:, : d - k, :, i] = amp_k[k, k:, None, None] * amps[:, k:]
-    dropped = float(branch_weight[~kept].sum())
+    k = n[:, None]
+    # row k of the running product is C(n, k): prod_{j <= k} (n - j + 1) / j, zero once j > n
+    comb = np.cumprod(np.where(k == 0, 1.0, np.maximum(n - k + 1, 0) / np.maximum(k, 1)), axis=0)
+    amp_k = np.sqrt(comb * tau ** np.maximum(n - k, 0) * (1 - tau) ** k)
+    population = (np.abs(amps.reshape(-1, d, post, state.rank)) ** 2).sum(axis=(0, 2, 3))
+    branch_weight = amp_k**2 @ population
+    keep = branch_weight > COMPRESSION_TOL * branch_weight.sum()
+    kept = np.flatnonzero(keep)
+    source = k + kept  # output photon number n of branch k reads input n + k
+    clipped = np.minimum(source, d - 1)
+    coeff = np.where(source < d, amp_k[kept, clipped], 0.0)
+    gather = (clipped[:, None, :] * post + np.arange(post)[:, None]).reshape(-1)
+    out = amps[:, gather].reshape(-1, d, post, kept.size, state.rank)
+    out *= coeff[:, None, :, None]
+    dropped = float(branch_weight[~keep].sum())
     return FactoredState(reg, out.reshape(reg.dim, -1), state.compression_error + dropped).compressed()
 
 
-def attenuation_kraus(tau: float, cutoff: int) -> list:
-    """Single-mode loss channel of transmissivity tau as Kraus matrices
-    A_k |n> = sqrt(C(n,k) tau^(n-k) (1-tau)^k) |n-k>."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {tau}")
-    dim = cutoff + 1
-    ops = []
-    for k in range(dim):
-        a = np.zeros((dim, dim))
-        for n in range(k, dim):
-            a[n - k, n] = math.sqrt(math.comb(n, k) * tau ** (n - k) * (1 - tau) ** k)
-        if np.any(a):
-            ops.append(a)
-    return ops
-
-
 def lift_pair_operator(op, register: ModeRegister, modes: tuple[str, str]) -> sp.csr_matrix:
-    """Embed an operator on two modes (basis (n_a, n_b), second fastest) into
-    the full register as a sparse matrix."""
-    coo = sp.coo_matrix(op)
+    """Embed a sparse operator on two modes (basis (n_a, n_b), second fastest)
+    into the full register as a CSR matrix: each register row copies the row of
+    ``op`` its (n_a, n_b) selects, shifted by the spectator modes' offset."""
+    op = op.tocsr()
     ia, ib = register.position(modes[0]), register.position(modes[1])
-    strides = register.strides
-    db = register.dims[ib]
-    if coo.shape[0] != register.dims[ia] * db:
+    sa, sb = register.strides[ia], register.strides[ib]
+    da, db = register.dims[ia], register.dims[ib]
+    if op.shape[0] != da * db:
         raise ValueError("operator size does not match the selected modes")
-    rest = [i for i in range(register.n_modes) if i not in (ia, ib)]
-    if rest:
-        rest_dims = [register.dims[i] for i in rest]
-        combos = np.indices(rest_dims).reshape(len(rest), -1).T
-        base = combos @ np.array([strides[i] for i in rest])
-    else:
-        base = np.array([0])
-    pa, qa = np.divmod(coo.row, db)
-    pm, qm = np.divmod(coo.col, db)
-    row_core = pa * strides[ia] + qa * strides[ib]
-    col_core = pm * strides[ia] + qm * strides[ib]
-    rows = (row_core[:, None] + base[None, :]).reshape(-1)
-    cols = (col_core[:, None] + base[None, :]).reshape(-1)
-    vals = np.repeat(coo.data, base.size)
-    full = sp.coo_matrix((vals, (rows, cols)), shape=(register.dim, register.dim))
-    return full.tocsr()
+    pa, qa = np.divmod(np.arange(da * db), db)
+    core = pa * sa + qa * sb  # register offset of each two-mode basis state
+    full = np.arange(register.dim)
+    pair = (full // sa % da) * db + full // sb % db
+    base = full - core[pair]
+    row_nnz = np.diff(op.indptr)[pair]
+    indptr = np.concatenate(([0], np.cumsum(row_nnz)))
+    source = np.repeat(op.indptr[pair] - indptr[:-1], row_nnz)  # entry of op each stored entry copies
+    source += np.arange(indptr[-1])
+    indices = core.astype(np.int32)[op.indices][source]
+    indices += np.repeat(base.astype(np.int32), row_nnz)
+    return sp.csr_matrix((op.data[source], indices, indptr), shape=(register.dim, register.dim))

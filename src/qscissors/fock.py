@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,17 +49,17 @@ class ModeRegister:
     def n_modes(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         """Per-mode basis sizes (cutoff + 1)."""
         return tuple(c + 1 for c in self.cutoffs)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Total basis size."""
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
-    @property
+    @cached_property
     def strides(self) -> tuple[int, ...]:
         """Row-major strides of each mode in the joint basis index."""
         out = []

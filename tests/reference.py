@@ -26,6 +26,22 @@ def fock_unitary_from_2x2(v, d1, d2):
     return expm(-1j * gen)
 
 
+def attenuation_kraus(tau: float, cutoff: int) -> list:
+    """Single-mode loss channel of transmissivity tau as Kraus matrices
+    A_k |n> = sqrt(C(n,k) tau^(n-k) (1-tau)^k) |n-k>."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {tau}")
+    dim = cutoff + 1
+    ops = []
+    for k in range(dim):
+        a = np.zeros((dim, dim))
+        for n in range(k, dim):
+            a[n - k, n] = math.sqrt(math.comb(n, k) * tau ** (n - k) * (1 - tau) ** k)
+        if np.any(a):
+            ops.append(a)
+    return ops
+
+
 def coherent_vec(gamma, dim):
     n = np.arange(dim)
     amps = np.array(
@@ -62,10 +78,7 @@ def apply_lossy_bs(rho, dims, pair, t, r):
         tau = min(float(sv) ** 2, 1.0)
         dm = dims[mode]
         acc = np.zeros_like(rho)
-        for k in range(dm):
-            a = np.zeros((dm, dm))
-            for n in range(k, dm):
-                a[n - k, n] = math.sqrt(math.comb(n, k) * tau ** (n - k) * (1 - tau) ** k)
+        for a in attenuation_kraus(tau, dm - 1):
             before = int(np.prod(dims[:mode])) if mode > 0 else 1
             after = int(np.prod(dims[mode + 1 :])) if mode + 1 < len(dims) else 1
             al = np.kron(np.kron(np.eye(before), a), np.eye(after))

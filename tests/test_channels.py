@@ -1,25 +1,29 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qscissors.analytic import combined_damping
 from qscissors.channels import (
     BeamSplitterSpec,
+    _attenuate,
     _blockwise_passive,
     DetectorSpec,
     ImpossibleOutcomeError,
     apply_bs_channel,
-    attenuation_kraus,
     detector_povm,
     dilate,
     ideal_bs_unitary,
+    lift_pair_operator,
     lossy_bs_kraus,
     postselect,
     two_mode_unitary_matrix,
 )
 from qscissors.fock import (
     DensityOperator,
+    FactoredState,
     FockVector,
     ModeRegister,
     basis_ket,
@@ -183,6 +187,93 @@ def test_passive_build_rejects_non_unitary_matrix():
         _blockwise_passive(BeamSplitterSpec.lossy_5050(0.02).scattering_matrix, 3, 3)
     with pytest.raises(ValueError, match="not unitary"):
         _blockwise_passive(np.eye(2) * (1 + 1e-11), 3, 3)
+
+
+@pytest.mark.parametrize("cutoffs", [(3, 6), (6, 2)])
+def test_passive_build_at_unequal_cutoffs_matches_expm_reference(cutoffs):
+    # unequal cutoffs give several truncated blocks of one size, built in one batch
+    from .reference import fock_unitary_from_2x2
+
+    reg = ModeRegister(("x", "y"), cutoffs)
+    retained = reg.total_photons() <= min(cutoffs)
+    rng = np.random.default_rng(4)
+    v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    mine = _blockwise_passive(v, *cutoffs).toarray()
+    ref = fock_unitary_from_2x2(v, *reg.dims)
+    assert np.max(np.abs(mine - ref)[np.ix_(retained, retained)]) < 1e-10
+    # with eigenphases inside (-pi/2, pi/2) both logs take the same branch, so
+    # the truncated blocks, built from the same truncated generator, agree too
+    near_identity = (v * np.exp(-1j * rng.uniform(-1.5, 1.5, 2))) @ v.conj().T
+    mine = _blockwise_passive(near_identity, *cutoffs).toarray()
+    assert np.max(np.abs(mine - fock_unitary_from_2x2(near_identity, *reg.dims))) < 1e-10
+
+
+@pytest.mark.parametrize("cutoffs", [(3, 6), (6, 2)])
+def test_passive_build_of_diagonal_matrix_is_exact_phases(cutoffs):
+    _, _, xh = np.linalg.svd(BeamSplitterSpec.lossy_5050(0.1).scattering_matrix)
+    m, n = np.divmod(np.arange((cutoffs[0] + 1) * (cutoffs[1] + 1)), cutoffs[1] + 1)
+    for v in (np.diag([1j, -1]), xh):
+        op = _blockwise_passive(v, *cutoffs)
+        assert op.nnz == (cutoffs[0] + 1) * (cutoffs[1] + 1)
+        expected = [v[0, 0] ** int(a) * v[1, 1] ** int(b) for a, b in zip(m, n)]
+        assert np.array_equal(op.diagonal(), expected)
+
+
+def test_scissors_splitter_build_and_lift_peak_memory():
+    # drive cutoff 100: modes d and e get cutoff 101.  The CSR result holds 20
+    # bytes per entry and the build peaks near 39; a COO round trip (about 59)
+    # or one padded eigh batch over all blocks would exceed the bound
+    w, _, _ = np.linalg.svd(BeamSplitterSpec.lossy_5050(0.1).scattering_matrix)
+    reg = ModeRegister(("c", "d", "e"), (1, 101, 101))
+    tracemalloc.start()
+    try:
+        lifted = lift_pair_operator(_blockwise_passive(w, 101, 101), reg, ("d", "e"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lifted.nnz == 2 * (102**2 + 101 * 102 * 203 // 3)
+    assert peak / lifted.nnz <= 48, f"{peak / lifted.nnz:.1f} bytes per stored entry"
+
+
+# ---------------------------------------------------------------- lift and loss
+
+
+def moveaxis_embedding(op, dims, ia, ib):
+    """Dense register operator of a two-mode op: move modes (ia, ib) to the
+    front of every basis vector, apply op, move them back."""
+    dim = math.prod(dims)
+    moved = np.moveaxis(np.eye(dim).reshape(dims + (dim,)), (ia, ib), (0, 1))
+    out = (op @ moved.reshape(dims[ia] * dims[ib], -1)).reshape(moved.shape)
+    return np.moveaxis(out, (0, 1), (ia, ib)).reshape(dim, dim)
+
+
+@pytest.mark.parametrize("modes", [("z", "x"), ("x", "z"), ("s", "z"), ("z", "s"), ("x", "s")])
+def test_lift_matches_moveaxis_embedding(modes):
+    reg = ModeRegister(("x", "s", "z"), (2, 1, 3))
+    ia, ib = reg.position(modes[0]), reg.position(modes[1])
+    d = reg.dims[ia] * reg.dims[ib]
+    rng = np.random.default_rng(ia * 3 + ib)
+    op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    op[rng.random((d, d)) < 0.4] = 0.0  # rows of unequal length
+    lifted = lift_pair_operator(sp.csr_matrix(op), reg, modes).toarray()
+    assert np.max(np.abs(lifted - moveaxis_embedding(op, reg.dims, ia, ib))) <= 1e-15
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3, 0.98])
+def test_attenuator_matches_kraus_oracle_on_middle_mode(tau):
+    from .reference import attenuation_kraus
+
+    reg = ModeRegister(("a", "b", "c"), (1, 4, 2))
+    rng = np.random.default_rng(7)
+    psi = rng.normal(size=(reg.dim, 3)) + 1j * rng.normal(size=(reg.dim, 3))
+    psi /= np.linalg.norm(psi)
+    rho = psi @ psi.conj().T
+    expected = np.zeros_like(rho)
+    for a in attenuation_kraus(tau, cutoff=4):
+        lifted = np.kron(np.kron(np.eye(2), a), np.eye(3))
+        expected += lifted @ rho @ lifted.T
+    out = _attenuate(FactoredState(reg, psi), "b", tau).to_density().matrix
+    assert np.max(np.abs(out - expected)) <= 1e-13
 
 
 # ---------------------------------------------------------------- dilation
@@ -410,6 +501,8 @@ def test_lossy_bs_then_detectors_reproduces_combined_damping():
 
 
 def test_attenuation_kraus_completeness():
+    from .reference import attenuation_kraus
+
     for tau in (0.0, 0.3, 1.0):
         ops = attenuation_kraus(tau, cutoff=4)
         total = sum(a.T @ a for a in ops)
