@@ -39,9 +39,12 @@ from .fock import (
 
 BELL_LABELS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
 MEMORY_LIMIT_BYTES = 2 * 2**30
-# peak bytes per stored entry of the lifted splitter operator, with margin (ru_maxrss above
-# the imported interpreter at drive cutoffs 100/150/200: 52/43/41)
-BYTES_PER_OPERATOR_ENTRY = 56
+# peak bytes per lifted entry of the splitter's block operator, with margin.  ru_maxrss above
+# the imported interpreter, drive 1 at cutoffs 100/200/300: 23/14/12; drive 10, near the
+# largest drive the automatic cutoff admits, at 200/250/300: 37/28/23.  The blocks take 8 and the
+# factor's share falls as the cutoff grows: the largest admitted cutoff, 404, peaks at 16
+# (1.4 GB in all) at drive 10
+BYTES_PER_OPERATOR_ENTRY = 24
 
 
 @dataclass(frozen=True)
@@ -252,9 +255,10 @@ def run_scissors(config: ScissorsConfig) -> RunResult:
 
 def check_scissors_memory(drive_cutoff: int, output_cutoff: int = 1):
     """Refuse, before anything is allocated, a scissors register whose peak
-    memory estimate exceeds MEMORY_LIMIT_BYTES.  The peak is the sparse
-    splitter operator on modes (d, e), both of dim D = drive_cutoff + 2,
-    lifted over mode c: D^2 + (D-1) D (2D-1) / 3 block entries per c state."""
+    memory estimate exceeds MEMORY_LIMIT_BYTES.  The estimate counts the
+    entries of the splitter's block operator on modes (d, e), both of dim
+    D = drive_cutoff + 2, lifted over mode c: D^2 + (D-1) D (2D-1) / 3 block
+    entries per c state."""
     dim = drive_cutoff + 2
     entries = (dim * dim + (dim - 1) * dim * (2 * dim - 1) // 3) * (output_cutoff + 1)
     estimate = BYTES_PER_OPERATOR_ENTRY * entries

@@ -2,15 +2,19 @@
 
 Three models live here:
 
-* exact passive two-mode unitaries, built block-by-block in total photon
-  number from an eigendecomposition of each block's generator, so that every
-  block is unitary to float precision and blocks with total photons within
-  both mode cutoffs are exact (truncation can never corrupt a retained block);
-* lossy beam splitters as CPTP channels, realized as a unitary dilation onto
-  two vacuum environment modes that is traced out immediately.  The dilation
-  reproduces the element's noise covariance N = I - S S^dag when the
-  environment is in vacuum, which fixes the channel completely (any unitary
-  completion gives the same channel);
+* exact passive two-mode unitaries, held as their total-photon blocks
+  (``PairOperator``), each built from an eigendecomposition of its block's
+  generator, so that every block is unitary to float precision and blocks with
+  total photons within both mode cutoffs are exact (truncation can never
+  corrupt a retained block).  A block operator acts on a register by moving
+  its two modes last and multiplying each block into the amplitudes it
+  touches; no register-sized operator is built;
+* lossy beam splitters as CPTP channels, through the SVD
+  S = W diag(s) X^dag: a passive unitary, single-mode loss of transmissivity
+  s_i^2, and a second passive unitary.  With the environment in vacuum this is
+  the channel of every unitary dilation with noise covariance
+  N = I - S S^dag, since that channel depends on S alone (the explicit
+  dilation and its Kraus set are test oracles in ``tests/reference.py``);
 * inefficient click detectors as diagonal binomial POVMs with post-selection.
 
 Channels act on a low-rank factor rho = psi psi^dag (``fock.FactoredState``),
@@ -24,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import (
     COMPRESSION_TOL,
@@ -120,49 +123,62 @@ class DetectorSpec:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
 
-@dataclass
-class KrausChannel:
-    """Explicit Kraus representation of a lossy two-mode element.
+@dataclass(frozen=True)
+class PairOperator:
+    """Number-conserving operator on two modes of sizes ``dims`` (basis
+    (n1, n2), second fastest), held as its total-photon blocks.  Each batch is
+    (index (B, size), blocks (B, size, size)) with
+    <index[b, i]| op |index[b, j]> = blocks[b, i, j]; a diagonal operator
+    keeps only its ``phases``."""
 
-    Operators act on the two-mode basis with per-mode cutoff ``cutoff``
-    (basis order: (n1, n2), second mode fastest).  ``outcomes[i]`` is the
-    environment photon pair counted by ``operators[i]``.
-    """
+    dims: tuple[int, int]
+    batches: tuple = ()
+    phases: np.ndarray | None = None
 
-    operators: list
-    outcomes: list
-    cutoff: int
-    spec: BeamSplitterSpec
+    @property
+    def nnz(self) -> int:
+        """Number of stored entries."""
+        if self.phases is not None:
+            return self.phases.size
+        return sum(blocks.size for _, blocks in self.batches)
 
-    def completeness_defect(self, block_max: int | None = None) -> float:
-        """Max deviation of sum K^dag K from identity on blocks with total
-        photons <= block_max (defaults to the per-mode cutoff, the largest
-        total for which no output component can be truncated away)."""
-        if block_max is None:
-            block_max = self.cutoff
-        dim = self.cutoff + 1
-        total = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for k in self.operators:
-            total += k.conj().T @ k
-        n1, n2 = np.divmod(np.arange(dim * dim), dim)
-        retained = (n1 + n2) <= block_max
-        delta = total - np.eye(dim * dim)
-        return float(np.max(np.abs(delta[np.ix_(retained, retained)])))
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """op acting on axis 1 of x, shape (rest, d1 * d2, rank)."""
+        if self.phases is not None:
+            return x * self.phases[:, None]
+        y = np.empty(x.shape, dtype=complex)
+        for index, blocks in self.batches:
+            y[:, index] = blocks @ x[:, index]
+        return y
 
-    def apply(self, rho: DensityOperator, modes: tuple[str, str]) -> DensityOperator:
-        """Apply the channel to two modes of a register state."""
-        reg = rho.register
-        for label in modes:
-            if reg.cutoffs[reg.position(label)] != self.cutoff:
-                raise ValueError(
-                    f"mode {label!r} has cutoff {reg.cutoffs[reg.position(label)]}, "
-                    f"channel was built for cutoff {self.cutoff}"
-                )
-        out = np.zeros_like(rho.matrix)
-        for k in self.operators:
-            lifted = lift_pair_operator(sp.csr_matrix(k), reg, modes).toarray()
-            out += lifted @ rho.matrix @ lifted.conj().T
-        return DensityOperator(reg, out, check=False)
+    def toarray(self) -> np.ndarray:
+        """Dense (d1 * d2) x (d1 * d2) matrix."""
+        dim = math.prod(self.dims)
+        return self.apply(np.eye(dim)[None])[0]
+
+
+@dataclass(frozen=True)
+class LiftedPairOperator:
+    """A PairOperator bound to two axes of a register; ``@ psi`` moves those
+    axes last (before the rank axis), applies the blocks and moves them back,
+    which is free when the two modes are already the last two, as in every
+    stage.  ``nnz`` counts the entries the equivalent register-sized sparse
+    matrix would store."""
+
+    op: PairOperator
+    register: ModeRegister
+    axes: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return self.op.nnz * (self.register.dim // math.prod(self.op.dims))
+
+    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
+        n = self.register.n_modes
+        order = [i for i in range(n) if i not in self.axes] + [*self.axes, n]
+        moved = psi.reshape(self.register.dims + (-1,)).transpose(order)
+        out = self.op.apply(moved.reshape(-1, math.prod(self.op.dims), moved.shape[-1]))
+        return out.reshape(moved.shape).transpose(np.argsort(order)).reshape(psi.shape)
 
 
 def two_mode_unitary_matrix(matrix_2x2: np.ndarray, cutoff1: int, cutoff2: int) -> np.ndarray:
@@ -176,8 +192,8 @@ def two_mode_unitary_matrix(matrix_2x2: np.ndarray, cutoff1: int, cutoff2: int) 
     return _blockwise_passive(matrix_2x2, cutoff1, cutoff2).toarray()
 
 
-def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int) -> sp.csr_matrix:
-    """Sparse Fock operator exp(-i G) of a unitary V, G = sum_ij h_ij a_i^dag a_j
+def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int) -> PairOperator:
+    """Block operator exp(-i G) of a unitary V, G = sum_ij h_ij a_i^dag a_j
     with h = i log V.  On the block of total photons n, G is tridiagonal over
     the states (m, n - m); conjugating by the phases exp(i k arg h_01) makes it
     real, and blocks of equal size share one batched eigendecomposition.  The
@@ -185,29 +201,25 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int) -> sp.csr_matr
     A diagonal V gives the exact phases V00^m V11^n."""
     if np.max(np.abs(v @ v.conj().T - np.eye(2))) > UNITARITY_TOL:
         raise ValueError(f"passive matrix is not unitary within {UNITARITY_TOL}")
-    d2 = cutoff2 + 1
-    dim = (cutoff1 + 1) * d2
-    shape = (dim, dim)
+    dims = (cutoff1 + 1, cutoff2 + 1)
     if v[0, 1] == 0 and v[1, 0] == 0:
         powers0 = np.cumprod(np.append(1, np.full(cutoff1, v[0, 0])))
         powers1 = np.cumprod(np.append(1, np.full(cutoff2, v[1, 1])))
-        return sp.csr_matrix((np.outer(powers0, powers1).ravel(), np.arange(dim), np.arange(dim + 1)), shape=shape)
+        return PairOperator(dims, phases=np.outer(powers0, powers1).ravel())
     eigvals, eigvecs = np.linalg.eig(v)
     centre = np.sqrt(eigvals[0] * eigvals[1])
     centre = centre if (eigvals / centre).real.sum() >= 0 else -centre
     h = -(eigvecs * (np.angle(centre) + np.angle(eigvals / centre))) @ np.linalg.inv(eigvecs)
     h = (h + h.conj().T) / 2
-    m, n = np.divmod(np.arange(dim), d2)
+    m, n = np.divmod(np.arange(math.prod(dims)), dims[1])
     totals = np.arange(cutoff1 + cutoff2 + 1)
     lowest = np.maximum(0, totals - cutoff2)
     sizes = np.minimum(totals, cutoff1) - lowest + 1
-    indptr = np.concatenate(([0], np.cumsum(sizes[m + n])))
-    data = np.empty(indptr[-1], dtype=complex)
-    indices = np.empty(indptr[-1], dtype=np.int32)
     energy = h[0, 0].real * m + h[1, 1].real * n
     hop = abs(h[0, 1]) * np.sqrt((m + 1.0) * n)  # couples (m, n) to (m + 1, n - 1)
     k = np.arange(sizes.max())
     phases = np.exp(1j * np.angle(h[0, 1]) * (k[:, None] - k))
+    batches = []
     for size in np.unique(sizes):
         ntot = totals[sizes == size, None]
         index = (lowest[ntot] + k[:size]) * cutoff2 + ntot  # (blocks, size) rows of the block states
@@ -216,10 +228,8 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int) -> sp.csr_matr
         gen[:, 1 :: size + 1] = gen[:, size :: size + 1] = hop[index[:, :-1]]
         energies, basis = np.linalg.eigh(gen.reshape(-1, size, size))
         blocks = (basis * np.exp(-1j * energies)[:, None, :]) @ basis.transpose(0, 2, 1)
-        slots = indptr[index][:, :, None] + k[:size]
-        data[slots] = blocks * phases[:size, :size]
-        indices[slots] = index[:, None, :]
-    return sp.csr_matrix((data, indices, indptr), shape=shape)
+        batches.append((index, blocks * phases[:size, :size]))
+    return PairOperator(dims, tuple(batches))
 
 
 def ideal_bs_unitary(spec: BeamSplitterSpec, register: ModeRegister, modes: tuple[str, str]) -> np.ndarray:
@@ -229,92 +239,7 @@ def ideal_bs_unitary(spec: BeamSplitterSpec, register: ModeRegister, modes: tupl
     c1 = register.cutoffs[register.position(modes[0])]
     c2 = register.cutoffs[register.position(modes[1])]
     op = _blockwise_passive(spec.scattering_matrix, c1, c2)
-    return lift_pair_operator(op, register, modes).toarray()
-
-
-def dilate(spec: BeamSplitterSpec) -> np.ndarray:
-    """4x4 unitary scattering matrix for system modes (1, 2) plus two vacuum
-    environment modes (3, 4).
-
-    Upper-left block is S; the environment coupling block B satisfies
-    B B^dag = I - S S^dag, which is all the channel depends on.  A lossless
-    spec decouples the environment exactly.
-    """
-    s = spec.scattering_matrix
-    n = spec.noise_covariance
-    if np.max(np.abs(n)) <= PSD_TOL:
-        return np.block([[s, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
-    b = _psd_sqrt(n)
-    c = _psd_sqrt(np.eye(2) - s.conj().T @ s)
-    v = np.block([[s, b], [c, -s.conj().T]])
-    defect = np.max(np.abs(v @ v.conj().T - np.eye(4)))
-    if defect > 1e-10:
-        raise ValueError(f"dilation completion failed, unitarity defect {defect:.3e}")
-    return v
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    if vals[0] < -PSD_TOL:
-        raise ValueError(f"matrix not positive semidefinite (min eigenvalue {vals[0]:.3e})")
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-
-
-def lossy_bs_kraus(spec: BeamSplitterSpec, cutoff: int) -> KrausChannel:
-    """Kraus operators of the lossy element on a two-mode space with the given
-    per-mode cutoff.
-
-    K_(j,k) collects the amplitude for the vacuum environment to end with
-    (j, k) photons.  Completeness holds to float precision on all blocks with
-    total photons <= cutoff; higher blocks lose the truncated components.
-    """
-    if spec.is_lossless:
-        op = two_mode_unitary_matrix(spec.scattering_matrix, cutoff, cutoff)
-        return KrausChannel([op], [(0, 0)], cutoff, spec)
-    v = dilate(spec)
-    dim = cutoff + 1
-    budget = 2 * cutoff
-    images = {}
-    for m in range(dim):
-        for n in range(dim):
-            images[(m, n)] = _four_mode_image(v, m, n, budget)
-    ops = []
-    outcomes = []
-    for j in range(budget + 1):
-        for k in range(budget + 1 - j):
-            kmat = np.zeros((dim * dim, dim * dim), dtype=complex)
-            for (m, n), arr in images.items():
-                kmat[:, m * dim + n] = arr[:dim, :dim, j, k].reshape(-1)
-            if np.any(kmat):
-                ops.append(kmat)
-                outcomes.append((j, k))
-    return KrausChannel(ops, outcomes, cutoff, spec)
-
-
-def _four_mode_image(v: np.ndarray, m: int, n: int, budget: int) -> np.ndarray:
-    """Amplitudes of U(V) |m, n, 0, 0> over the four-mode basis, as an array
-    indexed (p, q, j, k) up to total photons m + n."""
-    dim = budget + 1
-    arr = np.zeros((dim, dim, dim, dim), dtype=complex)
-    arr[0, 0, 0, 0] = 1.0
-    sqrtn = np.sqrt(np.arange(1, dim))
-    for col, count in ((1, n), (0, m)):
-        for _ in range(count):
-            new = np.zeros_like(arr)
-            for i in range(4):
-                coeff = v[i, col]
-                if coeff == 0:
-                    continue
-                src = [slice(None)] * 4
-                dst = [slice(None)] * 4
-                src[i] = slice(0, dim - 1)
-                dst[i] = slice(1, dim)
-                shape = [1] * 4
-                shape[i] = dim - 1
-                new[tuple(dst)] += coeff * sqrtn.reshape(shape) * arr[tuple(src)]
-            arr = new
-    arr /= math.sqrt(math.factorial(m) * math.factorial(n))
-    return arr
+    return lift_pair_operator(op, register, modes) @ np.eye(register.dim)
 
 
 def detector_povm(det: DetectorSpec, clicks: int, cutoff: int) -> np.ndarray:
@@ -435,25 +360,10 @@ def _attenuate(state: FactoredState, label: str, tau: float) -> FactoredState:
     return FactoredState(reg, out.reshape(reg.dim, -1), state.compression_error + dropped).compressed()
 
 
-def lift_pair_operator(op, register: ModeRegister, modes: tuple[str, str]) -> sp.csr_matrix:
-    """Embed a sparse operator on two modes (basis (n_a, n_b), second fastest)
-    into the full register as a CSR matrix: each register row copies the row of
-    ``op`` its (n_a, n_b) selects, shifted by the spectator modes' offset."""
-    op = op.tocsr()
-    ia, ib = register.position(modes[0]), register.position(modes[1])
-    sa, sb = register.strides[ia], register.strides[ib]
-    da, db = register.dims[ia], register.dims[ib]
-    if op.shape[0] != da * db:
+def lift_pair_operator(op: PairOperator, register: ModeRegister, modes: tuple[str, str]) -> LiftedPairOperator:
+    """Bind a two-mode block operator (basis (n_a, n_b), second fastest) to
+    the register axes of ``modes``."""
+    axes = (register.position(modes[0]), register.position(modes[1]))
+    if op.dims != (register.dims[axes[0]], register.dims[axes[1]]):
         raise ValueError("operator size does not match the selected modes")
-    pa, qa = np.divmod(np.arange(da * db), db)
-    core = pa * sa + qa * sb  # register offset of each two-mode basis state
-    full = np.arange(register.dim)
-    pair = (full // sa % da) * db + full // sb % db
-    base = full - core[pair]
-    row_nnz = np.diff(op.indptr)[pair]
-    indptr = np.concatenate(([0], np.cumsum(row_nnz)))
-    source = np.repeat(op.indptr[pair] - indptr[:-1], row_nnz)  # entry of op each stored entry copies
-    source += np.arange(indptr[-1])
-    indices = core.astype(np.int32)[op.indices][source]
-    indices += np.repeat(base.astype(np.int32), row_nnz)
-    return sp.csr_matrix((op.data[source], indices, indptr), shape=(register.dim, register.dim))
+    return LiftedPairOperator(op, register, axes)

@@ -1,15 +1,25 @@
 """Independent reference implementations used as test oracles.
 
 Everything here deliberately avoids the package's operator constructions:
-beam-splitter unitaries come from scipy's expm of the two-mode generator,
-states and partial traces from plain dense numpy.  Agreement between this path
-and the package is a genuine cross-check, not a tautology.
+beam-splitter unitaries come from scipy's expm of the two-mode generator, the
+explicit Kraus set of a lossy element from its unitary dilation applied to
+creation operators one photon at a time, operators are embedded in a register
+with ``np.moveaxis``, and states and partial traces are plain dense numpy.
+Agreement between this path and the package is a genuine cross-check, not a
+tautology.  Only the package's containers (``BeamSplitterSpec``,
+``DensityOperator``) and its PSD tolerance are reused.
+
+Imports stay absolute: the benchmark loads this file by path.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, logm
+
+from qscissors.channels import PSD_TOL, BeamSplitterSpec
+from qscissors.fock import DensityOperator
 
 
 def destroy(dim):
@@ -24,6 +34,147 @@ def fock_unitary_from_2x2(v, d1, d2):
     ops = (a1, a2)
     gen = sum(h[i, j] * ops[i].conj().T @ ops[j] for i in range(2) for j in range(2))
     return expm(-1j * gen)
+
+
+def moveaxis_embedding(op, dims, ia, ib):
+    """Dense register operator of a two-mode op: move modes (ia, ib) to the
+    front of every basis vector, apply op, move them back."""
+    dim = math.prod(dims)
+    moved = np.moveaxis(np.eye(dim).reshape(tuple(dims) + (dim,)), (ia, ib), (0, 1))
+    out = (op @ moved.reshape(dims[ia] * dims[ib], -1)).reshape(moved.shape)
+    return np.moveaxis(out, (0, 1), (ia, ib)).reshape(dim, dim)
+
+
+@dataclass
+class KrausChannel:
+    """Explicit Kraus representation of a lossy two-mode element.
+
+    Operators act on the two-mode basis with per-mode cutoff ``cutoff``
+    (basis order: (n1, n2), second mode fastest).  ``outcomes[i]`` is the
+    environment photon pair counted by ``operators[i]``.
+    """
+
+    operators: list
+    outcomes: list
+    cutoff: int
+    spec: BeamSplitterSpec
+
+    def completeness_defect(self, block_max: int | None = None) -> float:
+        """Max deviation of sum K^dag K from identity on blocks with total
+        photons <= block_max (defaults to the per-mode cutoff, the largest
+        total for which no output component can be truncated away)."""
+        if block_max is None:
+            block_max = self.cutoff
+        dim = self.cutoff + 1
+        total = np.zeros((dim * dim, dim * dim), dtype=complex)
+        for k in self.operators:
+            total += k.conj().T @ k
+        n1, n2 = np.divmod(np.arange(dim * dim), dim)
+        retained = (n1 + n2) <= block_max
+        delta = total - np.eye(dim * dim)
+        return float(np.max(np.abs(delta[np.ix_(retained, retained)])))
+
+    def apply(self, rho: DensityOperator, modes: tuple) -> DensityOperator:
+        """Apply the channel to two modes of a register state."""
+        reg = rho.register
+        for label in modes:
+            if reg.cutoffs[reg.position(label)] != self.cutoff:
+                raise ValueError(
+                    f"mode {label!r} has cutoff {reg.cutoffs[reg.position(label)]}, "
+                    f"channel was built for cutoff {self.cutoff}"
+                )
+        ia, ib = reg.position(modes[0]), reg.position(modes[1])
+        out = np.zeros_like(rho.matrix)
+        for k in self.operators:
+            lifted = moveaxis_embedding(k, reg.dims, ia, ib)
+            out += lifted @ rho.matrix @ lifted.conj().T
+        return DensityOperator(reg, out, check=False)
+
+
+def dilate(spec: BeamSplitterSpec) -> np.ndarray:
+    """4x4 unitary scattering matrix for system modes (1, 2) plus two vacuum
+    environment modes (3, 4).
+
+    Upper-left block is S; the environment coupling block B satisfies
+    B B^dag = I - S S^dag, which is all the channel depends on.  A lossless
+    spec decouples the environment exactly.
+    """
+    s = spec.scattering_matrix
+    n = spec.noise_covariance
+    if np.max(np.abs(n)) <= PSD_TOL:
+        return np.block([[s, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
+    b = _psd_sqrt(n)
+    c = _psd_sqrt(np.eye(2) - s.conj().T @ s)
+    v = np.block([[s, b], [c, -s.conj().T]])
+    defect = np.max(np.abs(v @ v.conj().T - np.eye(4)))
+    if defect > 1e-10:
+        raise ValueError(f"dilation completion failed, unitarity defect {defect:.3e}")
+    return v
+
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(m)
+    if vals[0] < -PSD_TOL:
+        raise ValueError(f"matrix not positive semidefinite (min eigenvalue {vals[0]:.3e})")
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+
+
+def lossy_bs_kraus(spec: BeamSplitterSpec, cutoff: int) -> KrausChannel:
+    """Kraus operators of the lossy element on a two-mode space with the given
+    per-mode cutoff.
+
+    K_(j,k) collects the amplitude for the vacuum environment to end with
+    (j, k) photons.  Completeness holds to float precision on all blocks with
+    total photons <= cutoff; higher blocks lose the truncated components.  A
+    lossless element has the single Kraus operator of its expm unitary.
+    """
+    if spec.is_lossless:
+        op = fock_unitary_from_2x2(spec.scattering_matrix, cutoff + 1, cutoff + 1)
+        return KrausChannel([op], [(0, 0)], cutoff, spec)
+    v = dilate(spec)
+    dim = cutoff + 1
+    budget = 2 * cutoff
+    images = {}
+    for m in range(dim):
+        for n in range(dim):
+            images[(m, n)] = _four_mode_image(v, m, n, budget)
+    ops = []
+    outcomes = []
+    for j in range(budget + 1):
+        for k in range(budget + 1 - j):
+            kmat = np.zeros((dim * dim, dim * dim), dtype=complex)
+            for (m, n), arr in images.items():
+                kmat[:, m * dim + n] = arr[:dim, :dim, j, k].reshape(-1)
+            if np.any(kmat):
+                ops.append(kmat)
+                outcomes.append((j, k))
+    return KrausChannel(ops, outcomes, cutoff, spec)
+
+
+def _four_mode_image(v: np.ndarray, m: int, n: int, budget: int) -> np.ndarray:
+    """Amplitudes of U(V) |m, n, 0, 0> over the four-mode basis, as an array
+    indexed (p, q, j, k) up to total photons m + n."""
+    dim = budget + 1
+    arr = np.zeros((dim, dim, dim, dim), dtype=complex)
+    arr[0, 0, 0, 0] = 1.0
+    sqrtn = np.sqrt(np.arange(1, dim))
+    for col, count in ((1, n), (0, m)):
+        for _ in range(count):
+            new = np.zeros_like(arr)
+            for i in range(4):
+                coeff = v[i, col]
+                if coeff == 0:
+                    continue
+                src = [slice(None)] * 4
+                dst = [slice(None)] * 4
+                src[i] = slice(0, dim - 1)
+                dst[i] = slice(1, dim)
+                shape = [1] * 4
+                shape[i] = dim - 1
+                new[tuple(dst)] += coeff * sqrtn.reshape(shape) * arr[tuple(src)]
+            arr = new
+    arr /= math.sqrt(math.factorial(m) * math.factorial(n))
+    return arr
 
 
 def attenuation_kraus(tau: float, cutoff: int) -> list:
@@ -148,3 +299,20 @@ def closed_form_teleport_stage(eta, c0, c1):
     p = (eta / 4) * (1 + 2 * d * abs(c1) ** 2)
     f = (1 + 2 * d * abs(c0 * c1) ** 2) / (1 + 2 * d * abs(c1) ** 2)
     return p, f
+
+
+def corrected_scissors_fidelity(eta, gamma_bs, ratio, r_sq):
+    """Eq. 16 with the bracket of the printed Eq. 15,
+    x' = eta G + G/|r|^2 + 1 - eta, in place of the printed
+    x = 1 - eta (1+G^2)/(1-G):  F = 1 - x'/((1+R)(1+R+x')).
+    At Gamma = 0, x' = 1 - eta and this is criterion 08b's corrected form."""
+    x = eta * gamma_bs + gamma_bs / r_sq + 1 - eta
+    return 1 - x / ((1 + ratio) * (1 + ratio + x))
+
+
+def corrected_teleport_fidelity(eta, gamma_bs, ratio):
+    """Eq. 20 with the (R + x)/R factor of the printed normalization N_eq180,
+    x = 4/(1-G) - 3 eta (1-G), in place of the printed 1 + R x:
+    F = 1 - (x-1)/((1+R)(R+x)).  The two agree only at R = 1."""
+    x = 4 / (1 - gamma_bs) - 3 * eta * (1 - gamma_bs)
+    return 1 - (x - 1) / ((1 + ratio) * (ratio + x))

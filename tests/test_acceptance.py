@@ -1,15 +1,18 @@
 """Acceptance gate: one test per criterion, each at its stated tolerance.
 
 A summary line per criterion is printed at the end of the run (see
-conftest.py).  Criterion 8 is split: the report/flag/runtime half (8a) and the
-zero-damping scissors-fidelity match (8b).  At Gamma=0 the printed
+conftest.py).  Criterion 8 is split: the report/flag/runtime part (8a) and
+three formula matches (8b-8d), the first at zero damping.  At Gamma=0 the printed
 truncation-fidelity formula (Eq. 16) reduces to 1 - d/((1+R)(1+R d)),
 d = 1-eta, a misprint of 1 - d/((1+R)(1+R+d)): the printed normalization
 constant (Eq. 15), from which Eq. 16 follows, carries the factor
 (1+R+d)/(1+R).  8b checks the simulation against the corrected form, anchors
 the correction to the verbatim Eq. 15, and keeps the printed-vs-corrected gap
-visible in the ``abs_diff_16`` column.  The verbatim oracle itself
-(``analytic.truncation_fidelity``) is unchanged.
+visible in the ``abs_diff_16`` column.  8c does the same for Eq. 16 at
+Gamma > 0, whose bracket must be the one of the printed Eq. 15, and 8d for
+Eq. 20, whose denominator must carry the (R + x)/R factor of the printed
+normalization N_eq180.  The verbatim oracles themselves (``analytic.py``)
+are unchanged.
 """
 
 import math
@@ -39,11 +42,11 @@ from qscissors.channels import (
     BeamSplitterSpec,
     DetectorSpec,
     detector_povm,
-    lossy_bs_kraus,
 )
 from qscissors.cli import CSV_COLUMNS, main, rows_to_csv, run_sweep, SweepGrid
 from qscissors.fock import CoherentDrive, ModeRegister, basis_ket, fidelity
 
+from .reference import corrected_scissors_fidelity, corrected_teleport_fidelity, lossy_bs_kraus
 from .test_analytic import wick_bruteforce
 from .test_channels import bs_ancilla_click_probability, random_physical_specs
 
@@ -234,6 +237,93 @@ def test_criterion_08b_scissors_gamma0_matches_verbatim_formula(default_sweep):
         if row.eta < 1.0:
             assert row.abs_diff_16 > 1e-6, (row.eta, ratio)
     assert not mismatches, "Gamma=0 scissors fidelity vs corrected Eq. 16:\n" + "\n".join(mismatches)
+
+
+def test_criterion_08c_scissors_lossy_matches_eq16_with_eq15_bracket(default_sweep):
+    """At Gamma > 0 the simulated scissors fidelity equals Eq. 16 with its
+    bracket x = 1 - eta (1+G^2)/(1-G) replaced by the bracket of the printed
+    Eq. 15, x' = eta G + G/|r|^2 + 1 - eta.
+
+    The printed x is negative at eta = 1 for every G > 0, where the printed
+    Eq. 16 exceeds 1 (the ``oor_eq16`` flag).  With |t|^2 = |r|^2 the printed
+    Eq. 15 is exactly 1/N = e^(d|g|^2) eta |r|^4 C^2 (1+R+x')/(1+R), and
+    F = <target|rho|target> * N carries the same factor.
+
+    Per row, as in 08b: (1) the oracle is still the verbatim printed formula;
+    (2) the verbatim Eq. 15 carries the (1+R+x') factor; (3) the simulation
+    matches the corrected form; (4) ``abs_diff_16`` is exactly the
+    printed-vs-corrected gap, which stays visible (> 1e-6) on every row.
+    """
+    rows, _ = default_sweep
+    lossy = [row for row in rows if row.gamma > 0.0]
+    assert len(lossy) == 18
+    mismatches = []
+    for row in lossy:
+        eta, g, ratio, lam = row.eta, row.gamma, row.ratio_R, row.drive_gamma**2
+        x = 1 - eta * (1 + g**2) / (1 - g)
+        printed = 1 - x / ((1 + ratio) * (1 + ratio * x))
+        r_sq = (1 - g) / 2
+        corrected = corrected_scissors_fidelity(eta, g, ratio, r_sq)
+        assert abs(printed - row.fid_scissors_eq16) < 1e-9
+
+        bracket = eta * g + g / r_sq + 1 - eta
+        qubit_weight = math.exp(-lam) * (1 + lam)
+        inv_norm_eq15 = (
+            math.exp((eta * g + 1 - eta) * lam) * eta * r_sq**2 * qubit_weight
+            * (1 + ratio + bracket) / (1 + ratio)
+        )
+        assert abs(row.norm_eq15 * inv_norm_eq15 - 1) < 1e-9, (eta, g, ratio)
+
+        if abs(row.fid_scissors_numeric - corrected) > 1e-9:
+            mismatches.append(
+                f"eta={eta} Gamma={g} R={ratio}: numeric {row.fid_scissors_numeric:.12f} "
+                f"vs corrected formula {corrected:.12f}"
+            )
+
+        assert abs(row.abs_diff_16 - abs(corrected - printed)) < 1e-9, (eta, g, ratio)
+        assert row.abs_diff_16 > 1e-6, (eta, g, ratio)
+    assert not mismatches, "Gamma>0 scissors fidelity vs corrected Eq. 16:\n" + "\n".join(mismatches)
+
+
+def test_criterion_08d_teleport_matches_eq20_with_eq180_factor(default_sweep):
+    """The simulated end-to-end fidelity equals Eq. 20 with its denominator
+    factor 1 + R x replaced by R + x, x = 4/(1-G) - 3 eta (1-G).
+
+    The printed normalization N_eq180 carries 1 + x/R = (R + x)/R, and
+    F = <target|rho|target> * N, so Eq. 20 must carry the same factor.  The
+    printed numerator (3+G)/(1-G) - 3 eta (1-G) is x - 1.  Printed minus
+    corrected is (x-1)^2 (R-1) / ((1+R)(R+x)(1+Rx)), so the two agree only at
+    R = 1 or x = 1 (eta = 1, Gamma = 0).
+
+    Per row, as in 08b: (1) the oracle is still the verbatim printed formula;
+    (2) the verbatim N_eq180 carries the (R+x)/R factor; (3) the simulation
+    matches the corrected form; (4) ``abs_diff_20`` is exactly the
+    printed-vs-corrected gap, which stays visible (> 1e-6) wherever R != 1
+    and x != 1.
+    """
+    rows, _ = default_sweep
+    assert len(rows) == 27
+    mismatches = []
+    for row in rows:
+        eta, g, ratio, lam = row.eta, row.gamma, row.ratio_R, row.drive_gamma**2
+        x = 4 / (1 - g) - 3 * eta * (1 - g)
+        printed = 1 - ((3 + g) / (1 - g) - 3 * eta * (1 - g)) / ((1 + ratio) * (1 + ratio * x))
+        corrected = corrected_teleport_fidelity(eta, g, ratio)
+        assert abs(printed - row.fid_teleport_eq20) < 1e-9
+
+        inv_norm_eq180 = math.exp(-eta * (1 - g) * lam) * eta * ((1 - g) / 2) ** 2 * (ratio + x) / ratio
+        assert abs(row.norm_eq180 * inv_norm_eq180 - 1) < 1e-9, (eta, g, ratio)
+
+        if abs(row.fid_teleport_numeric - corrected) > 1e-9:
+            mismatches.append(
+                f"eta={eta} Gamma={g} R={ratio}: numeric {row.fid_teleport_numeric:.12f} "
+                f"vs corrected formula {corrected:.12f}"
+            )
+
+        assert abs(row.abs_diff_20 - abs(corrected - printed)) < 1e-9, (eta, g, ratio)
+        if ratio != 1.0 and x != 1.0:
+            assert row.abs_diff_20 > 1e-6, (eta, g, ratio)
+    assert not mismatches, "teleport fidelity vs corrected Eq. 20:\n" + "\n".join(mismatches)
 
 
 def test_criterion_09_pipeline_determinism(tmp_path):

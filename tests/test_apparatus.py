@@ -351,8 +351,9 @@ def test_large_drives_stay_exact_low_rank_and_fast():
 def test_memory_estimate_admits_every_auto_cutoff_and_refuses_larger_ones():
     # the estimate comes from register dims alone, so nothing is allocated here
     check_scissors_memory(CoherentDrive(1.0).max_cutoff)
-    with pytest.raises(ValueError, match=r"cutoff 400 needs an estimated \d+ bytes"):
-        check_scissors_memory(400)
+    check_scissors_memory(305)
+    with pytest.raises(ValueError, match=r"cutoff 405 needs an estimated \d+ bytes"):
+        check_scissors_memory(405)
     with pytest.raises(ValueError, match=str(MEMORY_LIMIT_BYTES)):
         run_scissors(ScissorsConfig(drive=CoherentDrive(1.0, cutoff=10**6)))
 

@@ -3,21 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from qscissors.analytic import combined_damping
 from qscissors.channels import (
     BeamSplitterSpec,
+    PairOperator,
     _attenuate,
     _blockwise_passive,
     DetectorSpec,
     ImpossibleOutcomeError,
     apply_bs_channel,
     detector_povm,
-    dilate,
     ideal_bs_unitary,
     lift_pair_operator,
-    lossy_bs_kraus,
     postselect,
     two_mode_unitary_matrix,
 )
@@ -30,6 +28,8 @@ from qscissors.fock import (
     partial_trace,
     tensor,
 )
+
+from .reference import dilate, fock_unitary_from_2x2, lossy_bs_kraus, moveaxis_embedding
 
 SQ2 = math.sqrt(2)
 
@@ -171,13 +171,16 @@ def test_general_passive_matrix_matches_expm_reference():
 
 @pytest.mark.parametrize("cutoff", [26, 37, 52, 87])
 def test_passive_build_retained_blocks_stay_unitary(cutoff):
-    # the SVD factor the lossy channel applies; blocks come out of the sparse
-    # operator one at a time (a dense cutoff-87 matrix would need 960 MB)
+    # the SVD factor the lossy channel applies; the blocks are read straight
+    # from the block operator (a dense cutoff-87 matrix would need 960 MB)
     w, _, _ = np.linalg.svd(BeamSplitterSpec.lossy_5050(0.02).scattering_matrix)
-    op = _blockwise_passive(w, cutoff, cutoff).tocsr()
-    for n in range(cutoff + 1):
-        index = np.array([m * (cutoff + 1) + n - m for m in range(n + 1)])
-        block = op[index][:, index].toarray()
+    op = _blockwise_passive(w, cutoff, cutoff)
+    retained = []
+    for index, blocks in op.batches:
+        totals = index[:, 0] // (cutoff + 1) + index[:, 0] % (cutoff + 1)
+        retained += [(int(n), block) for n, block in zip(totals, blocks) if n <= cutoff]
+    assert sorted(n for n, _ in retained) == list(range(cutoff + 1))
+    for n, block in retained:
         defect = np.max(np.abs(block.conj().T @ block - np.eye(n + 1)))
         assert defect <= 1e-13, f"block {n}: unitarity defect {defect:.2e}"
 
@@ -216,47 +219,66 @@ def test_passive_build_of_diagonal_matrix_is_exact_phases(cutoffs):
         op = _blockwise_passive(v, *cutoffs)
         assert op.nnz == (cutoffs[0] + 1) * (cutoffs[1] + 1)
         expected = [v[0, 0] ** int(a) * v[1, 1] ** int(b) for a, b in zip(m, n)]
-        assert np.array_equal(op.diagonal(), expected)
+        assert np.array_equal(op.phases, expected)
 
 
 def test_scissors_splitter_build_and_lift_peak_memory():
-    # drive cutoff 100: modes d and e get cutoff 101.  The CSR result holds 20
-    # bytes per entry and the build peaks near 39; a COO round trip (about 59)
-    # or one padded eigh batch over all blocks would exceed the bound
+    # drive cutoff 100: modes d and e get cutoff 101.  The blocks hold 8 bytes
+    # per lifted entry and build, lift and one application to a rank-11 factor
+    # peak near 12; a register-sized CSR lift (39 at its leanest) would exceed
+    # the bound
     w, _, _ = np.linalg.svd(BeamSplitterSpec.lossy_5050(0.1).scattering_matrix)
     reg = ModeRegister(("c", "d", "e"), (1, 101, 101))
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=(reg.dim, 11)) + 1j * rng.normal(size=(reg.dim, 11))
     tracemalloc.start()
     try:
         lifted = lift_pair_operator(_blockwise_passive(w, 101, 101), reg, ("d", "e"))
+        lifted @ psi
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert lifted.nnz == 2 * (102**2 + 101 * 102 * 203 // 3)
-    assert peak / lifted.nnz <= 48, f"{peak / lifted.nnz:.1f} bytes per stored entry"
+    assert peak / lifted.nnz <= 16, f"{peak / lifted.nnz:.1f} bytes per lifted entry"
 
 
 # ---------------------------------------------------------------- lift and loss
 
 
-def moveaxis_embedding(op, dims, ia, ib):
-    """Dense register operator of a two-mode op: move modes (ia, ib) to the
-    front of every basis vector, apply op, move them back."""
-    dim = math.prod(dims)
-    moved = np.moveaxis(np.eye(dim).reshape(dims + (dim,)), (ia, ib), (0, 1))
-    out = (op @ moved.reshape(dims[ia] * dims[ib], -1)).reshape(moved.shape)
-    return np.moveaxis(out, (0, 1), (ia, ib)).reshape(dim, dim)
+def random_block_operator(dims, seed):
+    """Block operator with the passive build's block structure and random
+    complex blocks."""
+    rng = np.random.default_rng(seed)
+    skeleton = _blockwise_passive(BeamSplitterSpec.ideal_5050().scattering_matrix, dims[0] - 1, dims[1] - 1)
+    batches = tuple(
+        (index, rng.normal(size=blocks.shape) + 1j * rng.normal(size=blocks.shape))
+        for index, blocks in skeleton.batches
+    )
+    return PairOperator(skeleton.dims, batches)
 
 
 @pytest.mark.parametrize("modes", [("z", "x"), ("x", "z"), ("s", "z"), ("z", "s"), ("x", "s")])
 def test_lift_matches_moveaxis_embedding(modes):
     reg = ModeRegister(("x", "s", "z"), (2, 1, 3))
     ia, ib = reg.position(modes[0]), reg.position(modes[1])
-    d = reg.dims[ia] * reg.dims[ib]
-    rng = np.random.default_rng(ia * 3 + ib)
-    op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    op[rng.random((d, d)) < 0.4] = 0.0  # rows of unequal length
-    lifted = lift_pair_operator(sp.csr_matrix(op), reg, modes).toarray()
-    assert np.max(np.abs(lifted - moveaxis_embedding(op, reg.dims, ia, ib))) <= 1e-15
+    op = random_block_operator((reg.dims[ia], reg.dims[ib]), seed=ia * 3 + ib)
+    lifted = lift_pair_operator(op, reg, modes) @ np.eye(reg.dim)
+    assert np.max(np.abs(lifted - moveaxis_embedding(op.toarray(), reg.dims, ia, ib))) <= 1e-15
+
+
+def test_lifted_passive_on_reversed_pair_matches_expm_reference():
+    # modes (z, x) are reversed and not adjacent, so the factor is transposed
+    # in and out; the input lives on the retained blocks of the (z, x) pair
+    reg = ModeRegister(("x", "s", "z"), (3, 1, 4))
+    iz, ix = reg.position("z"), reg.position("x")
+    rng = np.random.default_rng(12)
+    v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    occ = reg.occupations()
+    psi = rng.normal(size=(reg.dim, 3)) + 1j * rng.normal(size=(reg.dim, 3))
+    psi[occ[:, iz] + occ[:, ix] > 3] = 0.0
+    out = lift_pair_operator(_blockwise_passive(v, 4, 3), reg, ("z", "x")) @ psi
+    ref = moveaxis_embedding(fock_unitary_from_2x2(v, 5, 4), reg.dims, iz, ix) @ psi
+    assert np.max(np.abs(out - ref)) <= 1e-10
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.3, 0.98])

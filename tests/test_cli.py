@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,14 @@ from qscissors.cli import (
     run_sweep,
     settings_from_config,
 )
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import sys, qscissors.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- config
@@ -301,10 +313,10 @@ BOUNDARY_TABLE = [
     ),
     pytest.param(["sweep", "--out", "/nonexistent_dir/x"], 2, r"config error: cannot write", id="sweep-out-missing-dir"),
     pytest.param(
-        ["pipeline", "--drive", "1", "--cutoff", "400"],
+        ["pipeline", "--drive", "1", "--cutoff", "405"],
         2,
-        r"config error: drive\.gamma: drive cutoff 400 needs an estimated \d+ bytes",
-        id="cutoff-400-over-memory-limit",
+        r"config error: drive\.gamma: drive cutoff 405 needs an estimated \d+ bytes",
+        id="cutoff-405-over-memory-limit",
     ),
 ]
 
