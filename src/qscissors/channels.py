@@ -24,8 +24,10 @@ because a coherent drive stays pure under loss.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +104,11 @@ class BeamSplitterSpec:
     def scattering_matrix(self) -> np.ndarray:
         return np.array([[self.t, self.r], [self.r, self.t]])
 
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """S = W diag(s) X^dag as (W, s, X^dag), computed once per spec."""
+        return np.linalg.svd(self.scattering_matrix)
+
     @property
     def noise_covariance(self) -> np.ndarray:
         s = self.scattering_matrix
@@ -160,25 +167,24 @@ class PairOperator:
 @dataclass(frozen=True)
 class LiftedPairOperator:
     """A PairOperator bound to two axes of a register; ``@ psi`` moves those
-    axes last (before the rank axis), applies the blocks and moves them back,
-    which is free when the two modes are already the last two, as in every
-    stage.  ``nnz`` counts the entries the equivalent register-sized sparse
-    matrix would store."""
+    axes last (before the rank axis) by ``order``, applies the blocks and moves
+    them back by ``inverse``, which is free (views only) when the two modes are
+    already the last two, as in every stage.  ``nnz`` counts the entries the
+    equivalent register-sized sparse matrix would store."""
 
     op: PairOperator
     register: ModeRegister
-    axes: tuple[int, int]
+    order: tuple[int, ...]
+    inverse: tuple[int, ...]
 
     @property
     def nnz(self) -> int:
         return self.op.nnz * (self.register.dim // math.prod(self.op.dims))
 
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
-        n = self.register.n_modes
-        order = [i for i in range(n) if i not in self.axes] + [*self.axes, n]
-        moved = psi.reshape(self.register.dims + (-1,)).transpose(order)
+        moved = psi.reshape(self.register.dims + (-1,)).transpose(self.order)
         out = self.op.apply(moved.reshape(-1, math.prod(self.op.dims), moved.shape[-1]))
-        return out.reshape(moved.shape).transpose(np.argsort(order)).reshape(psi.shape)
+        return out.reshape(moved.shape).transpose(self.inverse).reshape(psi.shape)
 
 
 def two_mode_unitary_matrix(matrix_2x2: np.ndarray, cutoff1: int, cutoff2: int) -> np.ndarray:
@@ -193,42 +199,45 @@ def two_mode_unitary_matrix(matrix_2x2: np.ndarray, cutoff1: int, cutoff2: int) 
 
 
 def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int) -> PairOperator:
-    """Block operator exp(-i G) of a unitary V, G = sum_ij h_ij a_i^dag a_j
-    with h = i log V.  On the block of total photons n, G is tridiagonal over
-    the states (m, n - m); conjugating by the phases exp(i k arg h_01) makes it
-    real, and blocks of equal size share one batched eigendecomposition.  The
-    log branch is centred on the determinant phase to keep h well conditioned.
-    A diagonal V gives the exact phases V00^m V11^n."""
+    """Block operator exp(-i G) of a unitary V, G = sum_ij h_ij a_i^dag a_j, h = i log V
+    in closed form from V = c exp(-i theta n.sigma) with c = +-sqrt(det V), Re tr(V/c) >= 0
+    (the branch centred on the determinant phase).  On the block of total photons n, G
+    is tridiagonal over the states (m, n - m); the phases exp(i k arg h_01) make it real,
+    and blocks of equal size share one batched eigendecomposition (1 x 1 blocks are their
+    phase).  A diagonal V gives the exact phases V00^m V11^n."""
     if np.max(np.abs(v @ v.conj().T - np.eye(2))) > UNITARITY_TOL:
         raise ValueError(f"passive matrix is not unitary within {UNITARITY_TOL}")
     dims = (cutoff1 + 1, cutoff2 + 1)
-    if v[0, 1] == 0 and v[1, 0] == 0:
-        powers0 = np.cumprod(np.append(1, np.full(cutoff1, v[0, 0])))
-        powers1 = np.cumprod(np.append(1, np.full(cutoff2, v[1, 1])))
+    (v00, v01), (v10, v11) = np.asarray(v, dtype=complex).tolist()
+    if v01 == 0 and v10 == 0:
+        powers0 = np.cumprod(np.append(1, np.full(cutoff1, v00)))
+        powers1 = np.cumprod(np.append(1, np.full(cutoff2, v11)))
         return PairOperator(dims, phases=np.outer(powers0, powers1).ravel())
-    eigvals, eigvecs = np.linalg.eig(v)
-    centre = np.sqrt(eigvals[0] * eigvals[1])
-    centre = centre if (eigvals / centre).real.sum() >= 0 else -centre
-    h = -(eigvecs * (np.angle(centre) + np.angle(eigvals / centre))) @ np.linalg.inv(eigvecs)
-    h = (h + h.conj().T) / 2
+    c = cmath.sqrt(v00 * v11 - v01 * v10)
+    c = c if ((v00 + v11) / c).real >= 0 else -c
+    alpha, beta = (v00 / c + (v11 / c).conjugate()) / 2, (v01 / c - (v10 / c).conjugate()) / 2
+    sin = math.hypot(alpha.imag, abs(beta))  # alpha = cos theta - i sin theta n_z
+    f = math.atan2(sin, alpha.real) / sin if sin else 1.0
+    h00, h11, h01 = -cmath.phase(c) - f * alpha.imag, -cmath.phase(c) + f * alpha.imag, 1j * f * beta
     m, n = np.divmod(np.arange(math.prod(dims)), dims[1])
-    totals = np.arange(cutoff1 + cutoff2 + 1)
-    lowest = np.maximum(0, totals - cutoff2)
-    sizes = np.minimum(totals, cutoff1) - lowest + 1
-    energy = h[0, 0].real * m + h[1, 1].real * n
-    hop = abs(h[0, 1]) * np.sqrt((m + 1.0) * n)  # couples (m, n) to (m + 1, n - 1)
-    k = np.arange(sizes.max())
-    phases = np.exp(1j * np.angle(h[0, 1]) * (k[:, None] - k))
-    batches = []
-    for size in np.unique(sizes):
-        ntot = totals[sizes == size, None]
-        index = (lowest[ntot] + k[:size]) * cutoff2 + ntot  # (blocks, size) rows of the block states
-        gen = np.zeros((ntot.size, size * size))
-        gen[:, :: size + 1] = energy[index]
-        gen[:, 1 :: size + 1] = gen[:, size :: size + 1] = hop[index[:, :-1]]
-        energies, basis = np.linalg.eigh(gen.reshape(-1, size, size))
+    sizes = np.minimum(m + n, cutoff1) - np.maximum(0, m + n - cutoff2) + 1
+    order = np.argsort((sizes * sum(dims) + m + n) * dims[0] + m)  # by (size, total, m): one run per size
+    energy = (h00 * m + h11 * n)[order]
+    hop = (abs(h01) * np.sqrt((m + 1.0) * n))[order]  # couples (m, n) to (m + 1, n - 1)
+    k = np.arange(min(dims) + 1)
+    phases = np.exp(1j * cmath.phase(h01) * (k[:, None] - k))
+    counts = np.bincount(sizes)[1:] // k[1:]
+    batches = [(order[: counts[0], None], np.exp(-1j * energy[: counts[0], None, None]))]
+    start = counts[0]
+    for size, count in enumerate(counts[1:], 2):
+        stop = start + size * count
+        gen = np.zeros((count, size * size))
+        gen[:, :: size + 1] = energy[start:stop].reshape(count, size)
+        gen[:, 1 :: size + 1] = gen[:, size :: size + 1] = hop[start:stop].reshape(count, size)[:, :-1]
+        energies, basis = np.linalg.eigh(gen.reshape(count, size, size))
         blocks = (basis * np.exp(-1j * energies)[:, None, :]) @ basis.transpose(0, 2, 1)
-        batches.append((index, blocks * phases[:size, :size]))
+        batches.append((order[start:stop].reshape(count, size), blocks * phases[:size, :size]))
+        start = stop
     return PairOperator(dims, tuple(batches))
 
 
@@ -314,7 +323,7 @@ def apply_bs_channel(rho, modes: tuple[str, str], spec: BeamSplitterSpec):
     if spec.is_lossless:
         state = _passive(state, spec.scattering_matrix, modes)
     else:
-        w, svals, xh = np.linalg.svd(spec.scattering_matrix)
+        w, svals, xh = spec.svd
         state = _passive(state, xh, modes)
         for label, s in zip(modes, svals):
             state = _attenuate(state, label, min(float(s) ** 2, 1.0))
@@ -340,24 +349,27 @@ def _attenuate(state: FactoredState, label: str, tau: float) -> FactoredState:
     pos = reg.position(label)
     d = reg.dims[pos]
     post = reg.strides[pos]
-    amps = state.amplitudes.reshape(-1, d * post, state.rank)
+    amps = state.amplitudes.reshape(-1, d, post, state.rank)
     n = np.arange(d)
     k = n[:, None]
     # row k of the running product is C(n, k): prod_{j <= k} (n - j + 1) / j, zero once j > n
     comb = np.cumprod(np.where(k == 0, 1.0, np.maximum(n - k + 1, 0) / np.maximum(k, 1)), axis=0)
     amp_k = np.sqrt(comb * tau ** np.maximum(n - k, 0) * (1 - tau) ** k)
-    population = (np.abs(amps.reshape(-1, d, post, state.rank)) ** 2).sum(axis=(0, 2, 3))
+    parts = np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, d, 2 * post * state.rank)
+    population = np.einsum("ijk,ijk->j", parts, parts)
     branch_weight = amp_k**2 @ population
     keep = branch_weight > COMPRESSION_TOL * branch_weight.sum()
     kept = np.flatnonzero(keep)
+    error = state.compression_error + float(branch_weight[~keep].sum())
+    if kept.size == 1 and kept[0] == 0:  # A_0 = tau^(n/2) alone (a vacuum mode) only rescales rows
+        return FactoredState(reg, (amps * amp_k[0, :, None, None]).reshape(reg.dim, -1), error)
     source = k + kept  # output photon number n of branch k reads input n + k
     clipped = np.minimum(source, d - 1)
     coeff = np.where(source < d, amp_k[kept, clipped], 0.0)
     gather = (clipped[:, None, :] * post + np.arange(post)[:, None]).reshape(-1)
-    out = amps[:, gather].reshape(-1, d, post, kept.size, state.rank)
+    out = np.take(amps.reshape(-1, d * post, state.rank), gather, axis=1).reshape(-1, d, post, kept.size, state.rank)
     out *= coeff[:, None, :, None]
-    dropped = float(branch_weight[~keep].sum())
-    return FactoredState(reg, out.reshape(reg.dim, -1), state.compression_error + dropped).compressed()
+    return FactoredState(reg, out.reshape(reg.dim, -1), error).compressed()
 
 
 def lift_pair_operator(op: PairOperator, register: ModeRegister, modes: tuple[str, str]) -> LiftedPairOperator:
@@ -366,4 +378,6 @@ def lift_pair_operator(op: PairOperator, register: ModeRegister, modes: tuple[st
     axes = (register.position(modes[0]), register.position(modes[1]))
     if op.dims != (register.dims[axes[0]], register.dims[axes[1]]):
         raise ValueError("operator size does not match the selected modes")
-    return LiftedPairOperator(op, register, axes)
+    n = register.n_modes
+    order = (*(i for i in range(n) if i not in axes), *axes, n)
+    return LiftedPairOperator(op, register, order, tuple(sorted(range(n + 1), key=order.__getitem__)))

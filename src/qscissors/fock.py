@@ -13,6 +13,7 @@ never mutate their inputs, so values can be shared freely across sweep workers.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -265,7 +266,8 @@ class FactoredState:
         if isinstance(state, FockVector):
             return cls(state.register, state.amplitudes[:, None])
         vals, vecs = np.linalg.eigh(state.matrix)
-        return cls(state.register, vecs * np.sqrt(np.clip(vals, 0.0, None)))._keep_dominant(vals)
+        keep, dropped = _dominant(vals)
+        return cls(state.register, vecs[:, keep] * np.sqrt(vals[keep]), dropped)
 
     @property
     def rank(self) -> int:
@@ -275,20 +277,20 @@ class FactoredState:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def compressed(self) -> "FactoredState":
-        """The same state on the fewest columns, from the eigendecomposition of
-        the small Gram matrix psi^dag psi."""
+        """The same state on the fewest columns, psi times the dominant
+        eigenvectors of the small Gram matrix psi^dag psi."""
         vals, vecs = np.linalg.eigh(self.amplitudes.conj().T @ self.amplitudes)
-        return FactoredState(self.register, self.amplitudes @ vecs, self.compression_error)._keep_dominant(vals)
-
-    def _keep_dominant(self, weights: np.ndarray) -> "FactoredState":
-        """Keep the columns whose weight exceeds COMPRESSION_TOL of the total;
-        the dropped weight is added to ``compression_error``."""
-        keep = weights > COMPRESSION_TOL * max(float(weights.sum()), 0.0)
-        dropped = float(np.clip(weights[~keep], 0.0, None).sum())
-        return FactoredState(self.register, self.amplitudes[:, keep], self.compression_error + dropped)
+        keep, dropped = _dominant(vals)
+        return FactoredState(self.register, self.amplitudes @ vecs[:, keep], self.compression_error + dropped)
 
     def to_density(self) -> DensityOperator:
         return DensityOperator(self.register, self.amplitudes @ self.amplitudes.conj().T, check=False)
+
+
+def _dominant(weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Mask of the weights above COMPRESSION_TOL of the total, and the weight of the rest."""
+    keep = weights > COMPRESSION_TOL * max(float(weights.sum()), 0.0)
+    return keep, float(np.maximum(weights[~keep], 0.0).sum())
 
 
 @dataclass(frozen=True)
@@ -347,8 +349,7 @@ class CoherentDrive:
         if g == 0:
             return 1.0 + 0j if n == 0 else 0j
         logmag = -abs(g) ** 2 / 2 + n * math.log(abs(g)) - 0.5 * math.lgamma(n + 1)
-        phase = complex(np.exp(1j * n * np.angle(g)))
-        return math.exp(logmag) * phase
+        return math.exp(logmag) * cmath.exp(1j * n * cmath.phase(g))
 
     @property
     def amp0(self) -> complex:
@@ -399,7 +400,8 @@ def tensor(x, y):
     if isinstance(x, FockVector) and isinstance(y, FockVector):
         return FockVector(reg, np.kron(x.amplitudes, y.amplitudes))
     if isinstance(x, FactoredState) and isinstance(y, FactoredState):
-        return FactoredState(reg, np.kron(x.amplitudes, y.amplitudes), x.compression_error + y.compression_error)
+        amps = x.amplitudes[:, None, :, None] * y.amplitudes[None, :, None, :]  # np.kron by broadcasting
+        return FactoredState(reg, amps.reshape(reg.dim, -1), x.compression_error + y.compression_error)
     if isinstance(x, DensityOperator) and isinstance(y, DensityOperator):
         return DensityOperator(reg, np.kron(x.matrix, y.matrix), check=False)
     raise TypeError("tensor requires two states of the same kind")

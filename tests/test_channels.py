@@ -222,6 +222,38 @@ def test_passive_build_of_diagonal_matrix_is_exact_phases(cutoffs):
         assert np.array_equal(op.phases, expected)
 
 
+def closed_form_log_cases():
+    """Unitaries at the edges of the closed-form log h = i log V."""
+    cases = {}
+    for gamma in (0.02, 0.1, 0.137, 0.2):
+        # the SVD factor the lossy channel applies; its trace is zero at the
+        # first three, so the sign rule Re tr(V / c) >= 0 sits on its boundary
+        cases[f"W(Gamma={gamma})"] = np.linalg.svd(BeamSplitterSpec.lossy_5050(gamma).scattering_matrix)[0]
+    cases["reflection"] = np.array([[0.6, 0.8], [0.8, -0.6]])  # det V = -1, real dtype
+    rotation = np.array([[math.cos(1e-9), -math.sin(1e-9)], [math.sin(1e-9), math.cos(1e-9)]])
+    cases["near-diagonal"] = rotation @ np.diag(np.exp([0.3j, -0.7j])) @ rotation.T
+    return cases
+
+
+@pytest.mark.parametrize("name", list(closed_form_log_cases()))
+@pytest.mark.parametrize("cutoffs", [(4, 4), (3, 6), (6, 2)])
+def test_passive_build_closed_form_log_edge_cases(name, cutoffs):
+    v = closed_form_log_cases()[name]
+    reg = ModeRegister(("x", "y"), cutoffs)
+    retained = reg.total_photons() <= min(cutoffs)
+    op = _blockwise_passive(v, *cutoffs)
+    mine = op.toarray()
+    ref = fock_unitary_from_2x2(v, *reg.dims)
+    assert np.max(np.abs(mine - ref)[np.ix_(retained, retained)]) < 1e-10
+    for _, blocks in op.batches:
+        eye = np.eye(blocks.shape[-1])
+        assert np.max(np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - eye)) <= 1e-13
+    if name == "near-diagonal":
+        # eigenphases 0.3 and -0.7: both logs take the same branch, so the
+        # truncated blocks agree too
+        assert np.max(np.abs(mine - ref)) < 1e-10
+
+
 def test_scissors_splitter_build_and_lift_peak_memory():
     # drive cutoff 100: modes d and e get cutoff 101.  The blocks hold 8 bytes
     # per lifted entry and build, lift and one application to a rank-11 factor
@@ -296,6 +328,33 @@ def test_attenuator_matches_kraus_oracle_on_middle_mode(tau):
         expected += lifted @ rho @ lifted.T
     out = _attenuate(FactoredState(reg, psi), "b", tau).to_density().matrix
     assert np.max(np.abs(out - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("tau", [0.3, 0.98])
+def test_attenuator_on_vacuum_mode_rescales_rows_and_keeps_columns(tau):
+    from .reference import attenuation_kraus
+
+    reg = ModeRegister(("a", "b", "c"), (1, 4, 2))
+    rng = np.random.default_rng(8)
+    psi = rng.normal(size=(reg.dim, 3)) + 1j * rng.normal(size=(reg.dim, 3))
+    psi[reg.occupations()[:, 1] > 0] = 0.0  # mode b in vacuum
+    psi[:, 2] = 0.5j * psi[:, 0]  # a dependent column, which a re-compression would drop
+    psi /= np.linalg.norm(psi)
+    rho = psi @ psi.conj().T
+    expected = np.zeros_like(rho)
+    for a in attenuation_kraus(tau, cutoff=4):
+        lifted = np.kron(np.kron(np.eye(2), a), np.eye(3))
+        expected += lifted @ rho @ lifted.T
+    out = _attenuate(FactoredState(reg, psi), "b", tau)
+    assert out.rank == 3
+    assert np.max(np.abs(out.to_density().matrix - expected)) <= 1e-13
+
+
+def test_tensor_of_factors_equals_kron():
+    rng = np.random.default_rng(9)
+    x = FactoredState(ModeRegister(("a", "b"), (1, 2)), rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+    y = FactoredState(ModeRegister(("c",), (3,)), rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+    assert np.array_equal(tensor(x, y).amplitudes, np.kron(x.amplitudes, y.amplitudes))
 
 
 # ---------------------------------------------------------------- dilation

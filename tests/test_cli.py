@@ -32,6 +32,20 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_evaluate_point_lapack_budget(monkeypatch):
+    # one point: 1 SVD for the shared lossy splitter spec, no eig or inv for
+    # the closed-form log, and one eigh per block size, Gram compression and
+    # teleport input factorization
+    import numpy as np
+
+    calls = []
+    for name in ("eigh", "svd", "eig", "inv"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    evaluate_point(0.7, 0.1, 0.5)
+    assert len(calls) <= 24, sorted(calls)
+
+
 # ---------------------------------------------------------------- config
 
 
