@@ -3,11 +3,13 @@
 Three models live here:
 
 * exact passive two-mode unitaries, held as their total-photon blocks
-  (``PairOperator``), each built from an eigendecomposition of its block's
-  generator, so that every block is unitary to float precision and blocks with
-  total photons within both mode cutoffs are exact (truncation can never
-  corrupt a retained block).  A block operator acts on a register by moving
-  its two modes last and multiplying each block into the amplitudes it
+  (``PairOperator``).  A block within both mode cutoffs is the n-photon
+  representation of the 2x2 matrix, built by a two-sided photon-number
+  recurrence with no eigendecomposition (truncation can never corrupt it); a
+  truncated block is the exponential of its truncated generator.  A splitter
+  acting on a state is built only up to the largest total photon number the
+  state occupies on its two modes.  A block operator acts on a register by
+  moving its two modes last and multiplying each block into the amplitudes it
   touches; no register-sized operator is built;
 * lossy beam splitters as CPTP channels, through the SVD
   S = W diag(s) X^dag: a passive unitary, single-mode loss of transmissivity
@@ -135,8 +137,8 @@ class PairOperator:
     """Number-conserving operator on two modes of sizes ``dims`` (basis
     (n1, n2), second fastest), held as its total-photon blocks.  Each batch is
     (index (B, size), blocks (B, size, size)) with
-    <index[b, i]| op |index[b, j]> = blocks[b, i, j]; a diagonal operator
-    keeps only its ``phases``."""
+    <index[b, i]| op |index[b, j]> = blocks[b, i, j], and states in no batch
+    map to zero; a diagonal operator keeps only its ``phases``."""
 
     dims: tuple[int, int]
     batches: tuple = ()
@@ -153,7 +155,7 @@ class PairOperator:
         """op acting on axis 1 of x, shape (rest, d1 * d2, rank)."""
         if self.phases is not None:
             return x * self.phases[:, None]
-        y = np.empty(x.shape, dtype=complex)
+        y = np.zeros(x.shape, dtype=complex)
         for index, blocks in self.batches:
             y[:, index] = blocks @ x[:, index]
         return y
@@ -192,27 +194,63 @@ def two_mode_unitary_matrix(matrix_2x2: np.ndarray, cutoff1: int, cutoff2: int) 
 
     Heisenberg convention: output operators are V times input operators, so a
     creation operator on input mode i maps to sum_j V[j, i] a_j^dag.  The
-    result conserves total photon number and is exactly unitary on every block
-    with total photons <= min(cutoff1, cutoff2); V must be unitary.
+    result conserves total photon number and is exact (the n-photon representation
+    of V) on every block with total photons n <= min(cutoff1, cutoff2); V must be unitary.
     """
     return _blockwise_passive(matrix_2x2, cutoff1, cutoff2).toarray()
 
 
-def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int) -> PairOperator:
-    """Block operator exp(-i G) of a unitary V, G = sum_ij h_ij a_i^dag a_j, h = i log V
-    in closed form from V = c exp(-i theta n.sigma) with c = +-sqrt(det V), Re tr(V/c) >= 0
-    (the branch centred on the determinant phase).  On the block of total photons n, G
-    is tridiagonal over the states (m, n - m); the phases exp(i k arg h_01) make it real,
-    and blocks of equal size share one batched eigendecomposition (1 x 1 blocks are their
-    phase).  A diagonal V gives the exact phases V00^m V11^n."""
+def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | None = None) -> PairOperator:
+    """Block operator of a unitary V on the totals n <= ``top`` (every total when None);
+    the other totals map to zero, so for top < cutoff1 + cutoff2 it is P_(<=top) U.
+
+    A block with n within both cutoffs is the n-photon representation of V, built from
+    B_0 = [[1]] by the two-sided recurrence (n + 1) B_(n+1) = (b1^dag B_n) A1^T + (b2^dag B_n) A2^T:
+    A1, A2 add a photon to mode 1 or 2, b_k^dag = sum_j V[j, k] A_j, and rows and columns
+    count the photons in mode 1.  Averaging the two ways of adding a photon keeps every
+    coefficient at most 1, as in Risbo's construction of Wigner d-functions (J. Geodesy 70,
+    383, 1996); no eigendecomposition is needed, and block n keeps about n times the float
+    unitarity defect of V itself.  A truncated block (min cutoff < n <= top) is exp(-i G)
+    on the truncated basis, G = sum_ij h_ij a_i^dag a_j, h = i log V in closed form from
+    V = c exp(-i theta n.sigma) with c = +-sqrt(det V), Re tr(V/c) >= 0 (the branch centred
+    on the determinant phase).  G is tridiagonal over the states (m, n - m); the phases
+    exp(i k arg h_01) make it real, and blocks of equal size share one batched
+    eigendecomposition.  A diagonal V gives the exact phases V00^m V11^n."""
     if np.max(np.abs(v @ v.conj().T - np.eye(2))) > UNITARITY_TOL:
         raise ValueError(f"passive matrix is not unitary within {UNITARITY_TOL}")
     dims = (cutoff1 + 1, cutoff2 + 1)
+    top = cutoff1 + cutoff2 if top is None else min(top, cutoff1 + cutoff2)
     (v00, v01), (v10, v11) = np.asarray(v, dtype=complex).tolist()
     if v01 == 0 and v10 == 0:
         powers0 = np.cumprod(np.append(1, np.full(cutoff1, v00)))
         powers1 = np.cumprod(np.append(1, np.full(cutoff2, v11)))
-        return PairOperator(dims, phases=np.outer(powers0, powers1).ravel())
+        phases = np.outer(powers0, powers1)
+        phases[np.add.outer(np.arange(dims[0]), np.arange(dims[1])) > top] = 0
+        return PairOperator(dims, phases=phases.ravel())
+    low = min(cutoff1, cutoff2, top)
+    root = np.sqrt(np.arange(low + 1.0))
+    step = np.arange(low + 1) * (dims[1] - 1)  # index of (i, n - i) is step[i] + n
+    block = np.ones((1, 1), dtype=complex)
+    batches = [(step[None, :1], block[None])]
+    for n in range(1, low + 1):
+        up, down = root[1 : n + 1, None], root[n:0:-1, None]  # sqrt(i) for i >= 1, sqrt(n - i) for i < n
+        raised = np.zeros((2, n + 1, n), dtype=complex)
+        raised[0, 1:] = up * block  # A1 B_(n-1)
+        raised[1, :-1] = down * block  # A2 B_(n-1)
+        rows = (v.T @ raised.reshape(2, -1)).reshape(2, n + 1, n)  # b1^dag B, b2^dag B
+        block = np.zeros((n + 1, n + 1), dtype=complex)
+        block[:, 1:] = rows[0] * up.T
+        block[:, :-1] += rows[1] * down.T
+        block /= n
+        batches.append((step[None, : n + 1] + n, block[None]))
+    if top > low:
+        batches += _truncated_blocks((v00, v01, v10, v11), dims, low, top)
+    return PairOperator(dims, tuple(batches))
+
+
+def _truncated_blocks(v, dims: tuple[int, int], low: int, top: int) -> list:
+    """Batches exp(-i G) of the blocks with totals low < n <= top (see ``_blockwise_passive``)."""
+    v00, v01, v10, v11 = v
     c = cmath.sqrt(v00 * v11 - v01 * v10)
     c = c if ((v00 + v11) / c).real >= 0 else -c
     alpha, beta = (v00 / c + (v11 / c).conjugate()) / 2, (v01 / c - (v10 / c).conjugate()) / 2
@@ -220,25 +258,27 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int) -> PairOperato
     f = math.atan2(sin, alpha.real) / sin if sin else 1.0
     h00, h11, h01 = -cmath.phase(c) - f * alpha.imag, -cmath.phase(c) + f * alpha.imag, 1j * f * beta
     m, n = np.divmod(np.arange(math.prod(dims)), dims[1])
-    sizes = np.minimum(m + n, cutoff1) - np.maximum(0, m + n - cutoff2) + 1
+    states = np.flatnonzero((m + n > low) & (m + n <= top))
+    m, n = m[states], n[states]
+    sizes = np.minimum(m + n, dims[0] - 1) - np.maximum(0, m + n - dims[1] + 1) + 1
     order = np.argsort((sizes * sum(dims) + m + n) * dims[0] + m)  # by (size, total, m): one run per size
     energy = (h00 * m + h11 * n)[order]
     hop = (abs(h01) * np.sqrt((m + 1.0) * n))[order]  # couples (m, n) to (m + 1, n - 1)
     k = np.arange(min(dims) + 1)
     phases = np.exp(1j * cmath.phase(h01) * (k[:, None] - k))
-    counts = np.bincount(sizes)[1:] // k[1:]
-    batches = [(order[: counts[0], None], np.exp(-1j * energy[: counts[0], None, None]))]
-    start = counts[0]
-    for size, count in enumerate(counts[1:], 2):
+    counts = np.bincount(sizes, minlength=k.size)[1:] // k[1:]
+    batches, start = [], 0
+    for size, count in enumerate(counts, 1):
         stop = start + size * count
-        gen = np.zeros((count, size * size))
-        gen[:, :: size + 1] = energy[start:stop].reshape(count, size)
-        gen[:, 1 :: size + 1] = gen[:, size :: size + 1] = hop[start:stop].reshape(count, size)[:, :-1]
-        energies, basis = np.linalg.eigh(gen.reshape(count, size, size))
-        blocks = (basis * np.exp(-1j * energies)[:, None, :]) @ basis.transpose(0, 2, 1)
-        batches.append((order[start:stop].reshape(count, size), blocks * phases[:size, :size]))
+        if count:
+            gen = np.zeros((count, size * size))
+            gen[:, :: size + 1] = energy[start:stop].reshape(count, size)
+            gen[:, 1 :: size + 1] = gen[:, size :: size + 1] = hop[start:stop].reshape(count, size)[:, :-1]
+            energies, basis = np.linalg.eigh(gen.reshape(count, size, size))
+            blocks = (basis * np.exp(-1j * energies)[:, None, :]) @ basis.transpose(0, 2, 1)
+            batches.append((states[order[start:stop]].reshape(count, size), blocks * phases[:size, :size]))
         start = stop
-    return PairOperator(dims, tuple(batches))
+    return batches
 
 
 def ideal_bs_unitary(spec: BeamSplitterSpec, register: ModeRegister, modes: tuple[str, str]) -> np.ndarray:
@@ -332,10 +372,13 @@ def apply_bs_channel(rho, modes: tuple[str, str], spec: BeamSplitterSpec):
 
 
 def _passive(state: FactoredState, v: np.ndarray, modes: tuple[str, str]) -> FactoredState:
+    """V on two modes, built only up to the largest total the factor occupies there."""
     reg = state.register
-    c1 = reg.cutoffs[reg.position(modes[0])]
-    c2 = reg.cutoffs[reg.position(modes[1])]
-    op = lift_pair_operator(_blockwise_passive(v, c1, c2), reg, modes)
+    pair = (reg.position(modes[0]), reg.position(modes[1]))
+    rest = tuple(i for i in range(reg.n_modes + 1) if i not in pair)
+    occupied = np.nonzero(np.any(state.amplitudes.reshape(reg.dims + (state.rank,)) != 0, axis=rest))
+    top = int((occupied[0] + occupied[1]).max(initial=0))
+    op = lift_pair_operator(_blockwise_passive(v, reg.cutoffs[pair[0]], reg.cutoffs[pair[1]], top), reg, modes)
     return FactoredState(reg, op @ state.amplitudes, state.compression_error)
 
 

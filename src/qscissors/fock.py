@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +30,9 @@ BASIS_ORDER_NOTE = "lexicographic over occupation tuples, last mode fastest (row
 
 @dataclass(frozen=True)
 class ModeRegister:
-    """Ordered collection of bosonic modes with per-mode photon-number cutoffs."""
+    """Ordered collection of bosonic modes with per-mode photon-number cutoffs.
+    ``dims`` (cutoff + 1 per mode), ``dim`` (their product) and the row-major
+    ``strides`` of the joint basis index are set once, at construction."""
 
     labels: tuple[str, ...]
     cutoffs: tuple[int, ...]
@@ -45,30 +46,14 @@ class ModeRegister:
             raise ValueError(f"mode labels must be unique, got {self.labels}")
         if any(c < 1 for c in self.cutoffs):
             raise ValueError(f"every cutoff must be >= 1, got {self.cutoffs}")
+        dims = tuple(c + 1 for c in self.cutoffs)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", math.prod(dims))
+        object.__setattr__(self, "strides", tuple(math.prod(dims[i + 1 :]) for i in range(len(dims))))
 
     @property
     def n_modes(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def dims(self) -> tuple[int, ...]:
-        """Per-mode basis sizes (cutoff + 1)."""
-        return tuple(c + 1 for c in self.cutoffs)
-
-    @cached_property
-    def dim(self) -> int:
-        """Total basis size."""
-        return math.prod(self.dims)
-
-    @cached_property
-    def strides(self) -> tuple[int, ...]:
-        """Row-major strides of each mode in the joint basis index."""
-        out = []
-        acc = 1
-        for d in reversed(self.dims):
-            out.append(acc)
-            acc *= d
-        return tuple(reversed(out))
 
     def position(self, label: str) -> int:
         try:
@@ -278,8 +263,12 @@ class FactoredState:
 
     def compressed(self) -> "FactoredState":
         """The same state on the fewest columns, psi times the dominant
-        eigenvectors of the small Gram matrix psi^dag psi."""
-        vals, vecs = np.linalg.eigh(self.amplitudes.conj().T @ self.amplitudes)
+        eigenvectors of the small Gram matrix psi^dag psi.  The Gram matrix is
+        one real product of the float view [Re psi_j, Im psi_j] with itself,
+        recombined, so no conjugate copy of psi is made."""
+        parts = np.ascontiguousarray(self.amplitudes).view(float)
+        g = (parts.T @ parts).reshape(self.rank, 2, self.rank, 2)
+        vals, vecs = np.linalg.eigh(g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 0, :, 1] - g[:, 1, :, 0]))
         keep, dropped = _dominant(vals)
         return FactoredState(self.register, self.amplitudes @ vecs[:, keep], self.compression_error + dropped)
 
@@ -326,10 +315,17 @@ class CoherentDrive:
 
     def resolved_cutoff(self) -> int:
         """Cutoff actually used, honouring the tail invariant.  It is at least
-        1, because the zero/one-photon target needs the one-photon amplitude."""
-        n_range = range(1, self.max_cutoff + 1)
-        required = next((n for n in n_range if self.tail_probability(n) < self.tail_eps), None)
-        if required is None:
+        1, because the zero/one-photon target needs the one-photon amplitude.
+        One running pass over the Poisson sum, with the float operations of
+        ``tail_probability``, so each tail is bitwise the one it returns."""
+        lam = abs(self.gamma) ** 2
+        term = total = math.exp(-lam)
+        for required in range(1, self.max_cutoff + 1):
+            term *= lam / required
+            total += term
+            if max(0.0, 1.0 - total) < self.tail_eps:  # tail_probability(required); 0 when lam = 0
+                break
+        else:
             raise ValueError(
                 f"tail_eps={self.tail_eps} unattainable at max_cutoff={self.max_cutoff} "
                 f"for |gamma|^2={abs(self.gamma) ** 2:.6g}"

@@ -36,6 +36,16 @@ def fock_unitary_from_2x2(v, d1, d2):
     return expm(-1j * gen)
 
 
+def fock_block_from_2x2(v, n):
+    """expm realization of the n-photon block of the passive transformation with
+    Heisenberg matrix v, on the states (i, n - i), i = 0..n."""
+    h = 1j * logm(v)
+    i = np.arange(n + 1)
+    hop = np.sqrt((i[:-1] + 1.0) * (n - i[:-1]))  # <i + 1, n - i - 1| a1^dag a2 |i, n - i>
+    gen = np.diag(h[0, 0] * i + h[1, 1] * (n - i)) + np.diag(h[0, 1] * hop, -1) + np.diag(h[1, 0] * hop, 1)
+    return expm(-1j * gen)
+
+
 def moveaxis_embedding(op, dims, ia, ib):
     """Dense register operator of a two-mode op: move modes (ia, ib) to the
     front of every basis vector, apply op, move them back."""

@@ -15,9 +15,12 @@ normalization N_eq180.  The verbatim oracles themselves (``analytic.py``)
 are unchanged.
 """
 
+import json
 import math
 import time
+from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,3 +336,20 @@ def test_criterion_09_pipeline_determinism(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_default_sweep_matches_benchmark_golden_rows(default_sweep):
+    # the rows the benchmark recorded for this grid (read, never rewritten):
+    # every float column to 1e-12, every other column exactly
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "sweep_default.json"
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    rows, _ = default_sweep
+    assert [[row.eta, row.gamma, row.drive_gamma] for row in rows] == golden["inputs"]
+    for row, want in zip(rows, golden["rows"], strict=True):
+        got = asdict(row)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            if isinstance(value, float):
+                assert math.isclose(got[name], value, rel_tol=1e-12, abs_tol=1e-12), (name, got[name], value)
+            else:
+                assert got[name] == value, name

@@ -10,6 +10,7 @@ from qscissors.channels import (
     PairOperator,
     _attenuate,
     _blockwise_passive,
+    _passive,
     DetectorSpec,
     ImpossibleOutcomeError,
     apply_bs_channel,
@@ -29,7 +30,7 @@ from qscissors.fock import (
     tensor,
 )
 
-from .reference import dilate, fock_unitary_from_2x2, lossy_bs_kraus, moveaxis_embedding
+from .reference import dilate, fock_block_from_2x2, fock_unitary_from_2x2, lossy_bs_kraus, moveaxis_embedding
 
 SQ2 = math.sqrt(2)
 
@@ -252,6 +253,72 @@ def test_passive_build_closed_form_log_edge_cases(name, cutoffs):
         # eigenphases 0.3 and -0.7: both logs take the same branch, so the
         # truncated blocks agree too
         assert np.max(np.abs(mine - ref)) < 1e-10
+
+
+def recurrence_cases():
+    """The W factor of a lossy splitter, the ideal 50/50 splitter and three random unitaries."""
+    cases = {
+        "W": np.linalg.svd(BeamSplitterSpec.lossy_5050(0.1).scattering_matrix)[0],
+        "ideal 50/50": BeamSplitterSpec.ideal_5050().scattering_matrix,
+    }
+    rng = np.random.default_rng(21)
+    for j in range(3):
+        cases[f"random {j}"] = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    return cases
+
+
+@pytest.mark.parametrize("cutoff", [26, 87, 200, 404])
+@pytest.mark.parametrize("name", list(recurrence_cases()))
+def test_recurrence_blocks_match_expm_reference_and_stay_unitary(name, cutoff):
+    # top = cutoff builds the recurrence blocks only.  Block n represents V exactly,
+    # so it inherits n times V's own float defect (0 to 4.4e-16 here, up to 1.8e-13
+    # at n = 404); the rounding of the recurrence itself must stay within 1e-13.
+    # Every block is checked at cutoff 26, a sample with the largest one above it
+    v = recurrence_cases()[name]
+    own = np.linalg.norm(v.conj().T @ v - np.eye(2), 2)
+    op = _blockwise_passive(v, cutoff, cutoff, top=cutoff)
+    assert len(op.batches) == cutoff + 1
+    for n in range(cutoff + 1) if cutoff == 26 else (0, 1, cutoff // 2, cutoff):
+        index, blocks = op.batches[n]
+        i = np.arange(n + 1)
+        assert np.array_equal(index, [i * (cutoff + 1) + n - i])
+        defect = np.max(np.abs(blocks[0].conj().T @ blocks[0] - np.eye(n + 1)))
+        assert defect <= 1e-13 + n * own, f"block {n}: unitarity defect {defect:.2e}"
+        assert np.max(np.abs(blocks[0] - fock_block_from_2x2(v, n))) <= 1e-12, f"block {n}"
+
+
+@pytest.mark.parametrize("top", [0, 2, 4, 6, 9])
+def test_passive_up_to_top_equals_full_operator_on_supported_factor(top):
+    # cutoffs (4, 6) on the reversed pair (z, x): tops 0-4 build recurrence blocks
+    # only, 6 and 9 also a part of the truncated ones
+    reg = ModeRegister(("x", "s", "z"), (6, 1, 4))
+    occ = reg.occupations()
+    totals = occ[:, 0] + occ[:, 2]
+    rng = np.random.default_rng(30 + top)
+    v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    psi = rng.normal(size=(reg.dim, 3)) + 1j * rng.normal(size=(reg.dim, 3))
+    for matrix in (v, np.diag([1j, np.exp(0.3j)])):
+        part = lift_pair_operator(_blockwise_passive(matrix, 4, 6, top), reg, ("z", "x"))
+        assert not (part @ psi)[totals > top].any()  # P_(<=top) U: zeros, not copies of psi
+        supported = np.where((totals <= top)[:, None], psi, 0)
+        full = lift_pair_operator(_blockwise_passive(matrix, 4, 6), reg, ("z", "x")) @ supported
+        assert np.array_equal(part @ supported, full)
+        assert np.array_equal(_passive(FactoredState(reg, supported), matrix, ("z", "x")).amplitudes, full)
+
+
+@pytest.mark.parametrize("cutoffs", [(4, 4), (3, 6), (6, 2)])
+def test_truncated_blocks_below_top_match_expm_reference(cutoffs):
+    # top two above the smaller cutoff; eigenphases inside (-pi/2, pi/2) put both
+    # logs on the same branch, so the truncated blocks agree with the reference
+    rng = np.random.default_rng(9)
+    v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    near_identity = (v * np.exp(-1j * rng.uniform(-1.5, 1.5, 2))) @ v.conj().T
+    reg = ModeRegister(("x", "y"), cutoffs)
+    built = reg.total_photons() <= min(cutoffs) + 2
+    mine = _blockwise_passive(near_identity, *cutoffs, min(cutoffs) + 2).toarray()
+    ref = fock_unitary_from_2x2(near_identity, *reg.dims)
+    assert np.max(np.abs(mine - ref)[np.ix_(built, built)]) < 1e-10
+    assert not mine[~built].any() and not mine[:, ~built].any()
 
 
 def test_scissors_splitter_build_and_lift_peak_memory():

@@ -33,9 +33,9 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_evaluate_point_lapack_budget(monkeypatch):
-    # one point: 1 SVD for the shared lossy splitter spec, no eig or inv for
-    # the closed-form log, and one eigh per block size, Gram compression and
-    # teleport input factorization
+    # one point: 1 SVD for the shared lossy splitter spec, no LAPACK call for
+    # the splitter blocks (a recurrence builds them), and one eigh per Gram
+    # compression and teleport input factorization
     import numpy as np
 
     calls = []
@@ -43,7 +43,27 @@ def test_evaluate_point_lapack_budget(monkeypatch):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
     evaluate_point(0.7, 0.1, 0.5)
-    assert len(calls) <= 24, sorted(calls)
+    assert len(calls) <= 10, sorted(calls)
+
+
+def test_evaluate_point_makes_no_eigh_call_inside_the_splitter_build(monkeypatch):
+    import numpy as np
+
+    callers = []
+    original = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        names, frame = set(), sys._getframe(1)
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append(names)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    evaluate_point(0.7, 0.1, 0.5)
+    assert any("compressed" in names for names in callers)  # the counter sees the package's calls
+    assert not [names for names in callers if "_blockwise_passive" in names]
 
 
 # ---------------------------------------------------------------- config

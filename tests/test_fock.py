@@ -81,6 +81,31 @@ def test_coherent_tail_invariant_and_norm():
         assert 1.0 - vec.norm_sq() == pytest.approx(tail, abs=1e-13)
 
 
+def per_n_required_cutoff(drive):
+    """The tail rule scanned from scratch at every n, or None when unattainable."""
+    return next((n for n in range(1, drive.max_cutoff + 1) if drive.tail_probability(n) < drive.tail_eps), None)
+
+
+@pytest.mark.parametrize("tail_eps", [1e-3, 1e-8, 1e-12, 1e-15, 1e-16])
+def test_resolved_cutoff_matches_per_n_tail_rule(tail_eps):
+    for gamma in (0.0, 1e-7, 0.2, 0.5, 0.7, 1.0, 1.7j, 2.0, 3.5, 6.0, 10.0, 30.0):
+        drive = CoherentDrive(gamma, tail_eps=tail_eps, max_cutoff=60)
+        required = per_n_required_cutoff(drive)
+        if required is None:
+            with pytest.raises(ValueError, match="unattainable"):
+                drive.resolved_cutoff()
+        else:
+            assert drive.resolved_cutoff() == required, f"|gamma| = {abs(gamma)}"
+
+
+def test_register_sizes_are_plain_attributes():
+    reg = ModeRegister(("a", "b", "c"), (1, 3, 2))
+    assert (vars(reg)["dims"], vars(reg)["dim"], vars(reg)["strides"]) == ((2, 4, 3), 24, (12, 3, 1))
+    assert [reg.index(tuple(occ)) for occ in reg.occupations()] == list(range(reg.dim))
+    empty = ModeRegister((), ())
+    assert (empty.dims, empty.dim, empty.strides) == ((), 1, ())
+
+
 def test_coherent_insufficient_cutoff_names_requirement():
     required = CoherentDrive(2.0).resolved_cutoff()
     with pytest.raises(ValueError, match=f"cutoff {required} is required"):
