@@ -10,20 +10,16 @@ from .analytic import (
     teleport_norm,
     truncation_fidelity,
     truncation_norm,
-    wick_moment,
 )
 from .apparatus import (
-    BellBranch,
     QubitAmplitudes,
     RunResult,
     ScissorsConfig,
     TeleportConfig,
     bell_click_assignment,
-    bell_decompose,
     bell_states,
     bs_action_on_bell,
     full_pipeline,
-    ideal_channel,
     run_scissors,
     run_teleport,
 )
@@ -55,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeamSplitterSpec",
-    "BellBranch",
     "CoherentDrive",
     "DensityOperator",
     "DetectorSpec",
@@ -72,7 +67,6 @@ __all__ = [
     "apply_bs_channel",
     "basis_ket",
     "bell_click_assignment",
-    "bell_decompose",
     "bell_states",
     "bs_action_on_bell",
     "coherent_amplitudes",
@@ -81,7 +75,6 @@ __all__ = [
     "fidelity",
     "full_pipeline",
     "ideal_bs_unitary",
-    "ideal_channel",
     "pad_cutoffs",
     "partial_trace",
     "postselect",
@@ -93,5 +86,4 @@ __all__ = [
     "truncation_fidelity",
     "truncation_norm",
     "two_mode_unitary_matrix",
-    "wick_moment",
 ]

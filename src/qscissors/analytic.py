@@ -82,18 +82,6 @@ def combined_damping(eta: float, gamma: float) -> float:
     return eta * gamma + (1.0 - eta)
 
 
-def wick_moment(n: int, m: int, d: float) -> float:
-    """Vacuum moment <L^n L^dag^m> of a noise operator with [L, L^dag] = d:
-    delta_nm n! d^n."""
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be non-negative")
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    if n != m:
-        return 0.0
-    return math.factorial(n) * d**n
-
-
 def truncation_norm(params: NoiseParams, bs: BeamSplitterSpec) -> OracleReport:
     """Normalization constant of the engineered zero/one-photon state:
 

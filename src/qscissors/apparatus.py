@@ -37,7 +37,6 @@ from .fock import (
     tensor,
 )
 
-BELL_LABELS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
 MEMORY_LIMIT_BYTES = 2 * 2**30
 # peak bytes per lifted entry of the splitter's block operator, with margin.  ru_maxrss above
 # the imported interpreter, drive 1 at cutoffs 100/200/300: 23/14/12; drive 10, near the
@@ -139,69 +138,6 @@ def bell_states(register: ModeRegister | None = None) -> dict[str, FockVector]:
         "phi_plus": vec([((0, 0), s), ((1, 1), 1j * s)]),
         "phi_minus": vec([((0, 0), s), ((1, 1), -1j * s)]),
     }
-
-
-@dataclass(frozen=True)
-class BellBranch:
-    """One Bell component of the joint input-times-channel state.
-
-    ``conditional`` is the exact (sub-normalized) relative state of mode a,
-    so summing bell_state (x) conditional over all four branches rebuilds the
-    joint state including phases; ``weight`` is its squared norm.
-    """
-
-    label: str
-    conditional: FockVector
-    weight: float
-
-
-def ideal_channel(labels: tuple[str, str] = ("a", "b")) -> FockVector:
-    """The entangled resource a 50/50 splitter makes from one photon:
-    (|10> + i|01>)/sqrt(2)."""
-    reg = ModeRegister(labels, (1, 1))
-    s = 1 / math.sqrt(2)
-    amps = np.zeros(reg.dim, dtype=complex)
-    amps[reg.index((1, 0))] = s
-    amps[reg.index((0, 1))] = 1j * s
-    return FockVector(reg, amps)
-
-
-def bell_decompose(qubit: QubitAmplitudes) -> list[BellBranch]:
-    """Expand (input qubit on c) x (ideal channel on a, b) over the Bell basis
-    of modes (b, c).
-
-    Each branch carries weight 1/4.  Which Bell label carries the unmodified
-    qubit is resolved numerically from the fixed conventions above (it is the
-    psi_plus branch), not assumed.
-    """
-    joint = tensor(ideal_channel(("a", "b")), qubit.as_vector("c"))
-    reg = joint.register
-    a_reg = ModeRegister(("a",), (1,))
-    bells = bell_states()
-    branches = []
-    for label in BELL_LABELS:
-        bell = bells[label]
-        cond = np.zeros(2, dtype=complex)
-        for na in range(2):
-            amp = 0j
-            for occ_bc, b_amp in zip(bell.register.occupations(), bell.amplitudes):
-                if b_amp == 0:
-                    continue
-                amp += np.conj(b_amp) * joint.amplitudes[reg.index((na, occ_bc[0], occ_bc[1]))]
-            cond[na] = amp
-        vec = FockVector(a_reg, cond)
-        branches.append(BellBranch(label, vec, vec.norm_sq()))
-    return branches
-
-
-def reconstruct_joint(branches: list[BellBranch]) -> FockVector:
-    """Rebuild the joint (a, b, c) state from its Bell branches."""
-    bells = bell_states()
-    total = None
-    for branch in branches:
-        piece = tensor(branch.conditional, bells[branch.label])
-        total = piece.amplitudes if total is None else total + piece.amplitudes
-    return FockVector(ModeRegister(("a", "b", "c"), (1, 1, 1)), total)
 
 
 def bs_action_on_bell(spec: BeamSplitterSpec) -> dict[str, FockVector]:

@@ -8,7 +8,8 @@ Three models live here:
   recurrence with no eigendecomposition (truncation can never corrupt it); a
   truncated block is the exponential of its truncated generator.  A splitter
   acting on a state is built only up to the largest total photon number the
-  state occupies on its two modes.  A block operator acts on a register by
+  state occupies on its two modes, from blocks its spec keeps for every later
+  call (``SplitterStore``).  A block operator acts on a register by
   moving its two modes last and multiplying each block into the amplitudes it
   touches; no register-sized operator is built;
 * lossy beam splitters as CPTP channels, through the SVD
@@ -45,6 +46,8 @@ PSD_TOL = 1e-12
 LOSSLESS_TOL = 1e-14
 UNITARITY_TOL = 1e-12
 IMPOSSIBLE_PROBABILITY = 1e-300
+_LADDER_ROOT = np.ones((1, 1, 1), dtype=complex)  # B_0, the vacuum block of every passive V
+_LADDER_ROOT.flags.writeable = False
 
 
 class ImpossibleOutcomeError(RuntimeError):
@@ -111,6 +114,12 @@ class BeamSplitterSpec:
         """S = W diag(s) X^dag as (W, s, X^dag), computed once per spec."""
         return np.linalg.svd(self.scattering_matrix)
 
+    @cached_property
+    def store(self) -> "SplitterStore":
+        """Blocks and loss tables shared by every call of this splitter; they only grow, and
+        live as long as this spec (see ``SplitterStore``)."""
+        return SplitterStore(self)
+
     @property
     def noise_covariance(self) -> np.ndarray:
         s = self.scattering_matrix
@@ -119,6 +128,34 @@ class BeamSplitterSpec:
     @property
     def is_lossless(self) -> bool:
         return self.gamma <= LOSSLESS_TOL
+
+
+class SplitterStore:
+    """What every call of one splitter rebuilds from the spec alone, built on first use.
+
+    ``factors`` are the passive matrices the channel applies in turn (S when lossless;
+    X^dag, then W when lossy), and ``ladders[i]`` holds the within-cutoff blocks B_0..B_n of
+    ``factors[i]``, which ``_blockwise_passive`` extends only as far as a call's top needs (a
+    diagonal factor keeps its exact phases and needs none).
+    ``taus`` are the loss step's transmissivities s_i^2; ``loss_table`` keeps one table
+    A_k(n) per tau, grown to the largest mode size asked for, and hands out its top-left
+    corner, which is bit for bit the table of the smaller size.  Nothing is rebuilt or
+    dropped while the spec lives, and every stored array is read-only."""
+
+    def __init__(self, spec: BeamSplitterSpec):
+        if spec.is_lossless:
+            self.factors, self.taus = (spec.scattering_matrix,), ()
+        else:
+            w, svals, xh = spec.svd
+            self.factors, self.taus = (xh, w), tuple(min(float(s) ** 2, 1.0) for s in svals)
+        self.ladders = tuple([_LADDER_ROOT] for _ in self.factors)
+        self._tables = {}
+
+    def loss_table(self, tau: float, d: int) -> np.ndarray:
+        table = self._tables.get(tau)
+        if table is None or table.shape[-1] < d:
+            table = self._tables[tau] = _loss_table(tau, d)
+        return table[:, :d, :d]
 
 
 @dataclass(frozen=True)
@@ -200,9 +237,11 @@ def two_mode_unitary_matrix(matrix_2x2: np.ndarray, cutoff1: int, cutoff2: int) 
     return _blockwise_passive(matrix_2x2, cutoff1, cutoff2).toarray()
 
 
-def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | None = None) -> PairOperator:
+def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | None = None, ladder=None) -> PairOperator:
     """Block operator of a unitary V on the totals n <= ``top`` (every total when None);
     the other totals map to zero, so for top < cutoff1 + cutoff2 it is P_(<=top) U.
+    ``ladder`` is V's list of blocks B_0.. (``SplitterStore.ladders``), extended in place as
+    far as this call needs; without one the blocks are built for this call only.
 
     A block with n within both cutoffs is the n-photon representation of V, built from
     B_0 = [[1]] by the two-sided recurrence (n + 1) B_(n+1) = (b1^dag B_n) A1^T + (b2^dag B_n) A2^T:
@@ -228,11 +267,22 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | Non
         phases[np.add.outer(np.arange(dims[0]), np.arange(dims[1])) > top] = 0
         return PairOperator(dims, phases=phases.ravel())
     low = min(cutoff1, cutoff2, top)
+    ladder = [_LADDER_ROOT] if ladder is None else ladder
+    if len(ladder) <= low:
+        _extend_ladder(v, ladder, low)
+    index = np.add.outer(np.arange(low + 1), np.arange(low + 1) * (dims[1] - 1))  # [n, i]: state (i, n - i)
+    batches = [(index[n : n + 1, : n + 1], ladder[n]) for n in range(low + 1)]
+    if top > low:
+        batches += _truncated_blocks((v00, v01, v10, v11), dims, low, top)
+    return PairOperator(dims, tuple(batches))
+
+
+def _extend_ladder(v: np.ndarray, ladder: list, low: int):
+    """Append B_n, n = len(ladder) .. low, each (1, n + 1, n + 1) and read-only, to V's
+    ``ladder`` by the recurrence of ``_blockwise_passive``."""
     root = np.sqrt(np.arange(low + 1.0))
-    step = np.arange(low + 1) * (dims[1] - 1)  # index of (i, n - i) is step[i] + n
-    block = np.ones((1, 1), dtype=complex)
-    batches = [(step[None, :1], block[None])]
-    for n in range(1, low + 1):
+    block = ladder[-1][0]
+    for n in range(len(ladder), low + 1):
         up, down = root[1 : n + 1, None], root[n:0:-1, None]  # sqrt(i) for i >= 1, sqrt(n - i) for i < n
         raised = np.zeros((2, n + 1, n), dtype=complex)
         raised[0, 1:] = up * block  # A1 B_(n-1)
@@ -242,10 +292,8 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | Non
         block[:, 1:] = rows[0] * up.T
         block[:, :-1] += rows[1] * down.T
         block /= n
-        batches.append((step[None, : n + 1] + n, block[None]))
-    if top > low:
-        batches += _truncated_blocks((v00, v01, v10, v11), dims, low, top)
-    return PairOperator(dims, tuple(batches))
+        block.flags.writeable = False
+        ladder.append(block[None])
 
 
 def _truncated_blocks(v, dims: tuple[int, int], low: int, top: int) -> list:
@@ -356,36 +404,49 @@ def apply_bs_channel(rho, modes: tuple[str, str], spec: BeamSplitterSpec):
     specs use the SVD S = W diag(s) X^dag: a passive unitary, single-mode
     attenuators of transmissivity s_i^2, and a second passive unitary; with a
     vacuum environment this is the explicit dilation's channel (it only
-    depends on S).
+    depends on S).  Blocks and loss tables come from ``spec.store``, which
+    later calls with the same spec extend instead of rebuilding.
     """
     dense = isinstance(rho, DensityOperator)
     state = FactoredState.from_state(rho) if dense else rho
-    if spec.is_lossless:
-        state = _passive(state, spec.scattering_matrix, modes)
-    else:
-        w, svals, xh = spec.svd
-        state = _passive(state, xh, modes)
-        for label, s in zip(modes, svals):
-            state = _attenuate(state, label, min(float(s) ** 2, 1.0))
-        state = _passive(state, w, modes)
+    store = spec.store
+    state = _passive(state, store.factors[0], modes, store.ladders[0])
+    if not spec.is_lossless:
+        for label, tau in zip(modes, store.taus):
+            state = _attenuate(state, label, tau, store)
+        state = _passive(state, store.factors[1], modes, store.ladders[1])
     return state.to_density() if dense else state
 
 
-def _passive(state: FactoredState, v: np.ndarray, modes: tuple[str, str]) -> FactoredState:
+def _passive(state: FactoredState, v: np.ndarray, modes: tuple[str, str], ladder=None) -> FactoredState:
     """V on two modes, built only up to the largest total the factor occupies there."""
     reg = state.register
     pair = (reg.position(modes[0]), reg.position(modes[1]))
     rest = tuple(i for i in range(reg.n_modes + 1) if i not in pair)
     occupied = np.nonzero(np.any(state.amplitudes.reshape(reg.dims + (state.rank,)) != 0, axis=rest))
     top = int((occupied[0] + occupied[1]).max(initial=0))
-    op = lift_pair_operator(_blockwise_passive(v, reg.cutoffs[pair[0]], reg.cutoffs[pair[1]], top), reg, modes)
+    op = _blockwise_passive(v, reg.cutoffs[pair[0]], reg.cutoffs[pair[1]], top, ladder)
+    op = lift_pair_operator(op, reg, modes)
     return FactoredState(reg, op @ state.amplitudes, state.compression_error)
 
 
-def _attenuate(state: FactoredState, label: str, tau: float) -> FactoredState:
+def _loss_table(tau: float, d: int) -> np.ndarray:
+    """Read-only [A, A^2] with A[k, n] = sqrt(C(n,k) tau^(n-k) (1-tau)^k), n, k < d."""
+    n = np.arange(d)
+    k = n[:, None]
+    # row k of the running product is C(n, k): prod_{j <= k} (n - j + 1) / j, zero once j > n
+    comb = np.cumprod(np.where(k == 0, 1.0, np.maximum(n - k + 1, 0) / np.maximum(k, 1)), axis=0)
+    amp_k = np.sqrt(comb * tau ** np.maximum(n - k, 0) * (1 - tau) ** k)
+    table = np.stack((amp_k, amp_k**2))
+    table.flags.writeable = False
+    return table
+
+
+def _attenuate(state: FactoredState, label: str, tau: float, store: SplitterStore | None = None) -> FactoredState:
     """Loss A_k |n> = sqrt(C(n,k) tau^(n-k) (1-tau)^k) |n-k> on one mode: the
     branches A_k psi, bar those below COMPRESSION_TOL, are stacked as columns
-    and re-compressed; dropped weight goes to ``compression_error``."""
+    and re-compressed; dropped weight goes to ``compression_error``.  The table
+    A_k(n) comes from ``store`` when given."""
     if tau >= 1.0:
         return state
     reg = state.register
@@ -393,14 +454,11 @@ def _attenuate(state: FactoredState, label: str, tau: float) -> FactoredState:
     d = reg.dims[pos]
     post = reg.strides[pos]
     amps = state.amplitudes.reshape(-1, d, post, state.rank)
-    n = np.arange(d)
-    k = n[:, None]
-    # row k of the running product is C(n, k): prod_{j <= k} (n - j + 1) / j, zero once j > n
-    comb = np.cumprod(np.where(k == 0, 1.0, np.maximum(n - k + 1, 0) / np.maximum(k, 1)), axis=0)
-    amp_k = np.sqrt(comb * tau ** np.maximum(n - k, 0) * (1 - tau) ** k)
+    amp_k, weight = store.loss_table(tau, d) if store is not None else _loss_table(tau, d)
+    k = np.arange(d)[:, None]
     parts = np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, d, 2 * post * state.rank)
     population = np.einsum("ijk,ijk->j", parts, parts)
-    branch_weight = amp_k**2 @ population
+    branch_weight = weight @ population
     keep = branch_weight > COMPRESSION_TOL * branch_weight.sum()
     kept = np.flatnonzero(keep)
     error = state.compression_error + float(branch_weight[~keep].sum())

@@ -347,11 +347,21 @@ def evaluate_point(
     drive_gamma: float,
     cutoff: int | None = None,
     tail_eps: float = 1e-12,
+    *,
+    bs: BeamSplitterSpec | None = None,
 ) -> ReportRow:
-    """Run the full machine at one noise point and evaluate every oracle."""
+    """Run the full machine at one noise point and evaluate every oracle.
+
+    ``bs`` is the point's splitter, ``BeamSplitterSpec.lossy_5050(gamma_bs)``, given so
+    that points of one Gamma share its stored blocks and loss tables (see
+    ``BeamSplitterSpec.store``); any other spec is a ValueError.  Without it the point
+    builds its own."""
+    if bs is None:
+        bs = BeamSplitterSpec.lossy_5050(gamma_bs)
+    elif bs != BeamSplitterSpec.lossy_5050(gamma_bs):
+        raise ValueError(f"bs must equal lossy_5050({gamma_bs}), got {bs}")
     drive = CoherentDrive(drive_gamma, cutoff=cutoff, tail_eps=tail_eps)
     params = NoiseParams.from_drive(eta, gamma_bs, drive)
-    bs = BeamSplitterSpec.lossy_5050(gamma_bs)
     row = ReportRow(
         eta=eta,
         gamma=gamma_bs,
@@ -391,11 +401,19 @@ def evaluate_point(
 
 
 def run_sweep(grid: SweepGrid) -> list[ReportRow]:
-    """One row per grid point, in deterministic lexicographic grid order."""
-    return [
-        evaluate_point(eta, gamma, drive, cutoff=grid.cutoff, tail_eps=grid.tail_eps)
-        for eta, gamma, drive in grid.points()
-    ]
+    """One row per grid point, in deterministic lexicographic grid order.
+
+    Points are evaluated Gamma-major: one ``lossy_5050(Gamma)`` spec is alive at a time
+    and is passed to every point of its Gamma, so its blocks and loss tables are built
+    once; the rows are put back in grid order."""
+    n_gamma, n_drive = len(grid.gamma_bs), len(grid.drive)
+    rows = [None] * (len(grid.eta) * n_gamma * n_drive)
+    for j, gamma in enumerate(grid.gamma_bs):
+        bs = BeamSplitterSpec.lossy_5050(gamma)
+        for (i, eta), (k, drive) in itertools.product(enumerate(grid.eta), enumerate(grid.drive)):
+            row = evaluate_point(eta, gamma, drive, cutoff=grid.cutoff, tail_eps=grid.tail_eps, bs=bs)
+            rows[(i * n_gamma + j) * n_drive + k] = row
+    return rows
 
 
 def format_float(value: float) -> str:

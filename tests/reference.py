@@ -7,7 +7,10 @@ creation operators one photon at a time, operators are embedded in a register
 with ``np.moveaxis``, and states and partial traces are plain dense numpy.
 Agreement between this path and the package is a genuine cross-check, not a
 tautology.  Only the package's containers (``BeamSplitterSpec``,
-``DensityOperator``) and its PSD tolerance are reused.
+``DensityOperator``) and its PSD tolerance are reused.  The Bell-branch
+algebra of the ideal teleporter and the vacuum Wick moment, oracles that only
+the tests use, also live here; they build on the package's Fock vectors and
+Bell states.
 
 Imports stay absolute: the benchmark loads this file by path.
 """
@@ -18,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, logm
 
+from qscissors.apparatus import QubitAmplitudes, bell_states
 from qscissors.channels import PSD_TOL, BeamSplitterSpec
-from qscissors.fock import DensityOperator
+from qscissors.fock import DensityOperator, FockVector, ModeRegister, tensor
 
 
 def destroy(dim):
@@ -326,3 +330,76 @@ def corrected_teleport_fidelity(eta, gamma_bs, ratio):
     F = 1 - (x-1)/((1+R)(R+x)).  The two agree only at R = 1."""
     x = 4 / (1 - gamma_bs) - 3 * eta * (1 - gamma_bs)
     return 1 - (x - 1) / ((1 + ratio) * (ratio + x))
+
+
+@dataclass(frozen=True)
+class BellBranch:
+    """One Bell component of the joint input-times-channel state.
+
+    ``conditional`` is the exact (sub-normalized) relative state of mode a,
+    so summing bell_state (x) conditional over all four branches rebuilds the
+    joint state including phases; ``weight`` is its squared norm.
+    """
+
+    label: str
+    conditional: FockVector
+    weight: float
+
+
+def ideal_channel(labels: tuple[str, str] = ("a", "b")) -> FockVector:
+    """The entangled resource a 50/50 splitter makes from one photon:
+    (|10> + i|01>)/sqrt(2)."""
+    reg = ModeRegister(labels, (1, 1))
+    s = 1 / math.sqrt(2)
+    amps = np.zeros(reg.dim, dtype=complex)
+    amps[reg.index((1, 0))] = s
+    amps[reg.index((0, 1))] = 1j * s
+    return FockVector(reg, amps)
+
+
+def bell_decompose(qubit: QubitAmplitudes) -> list[BellBranch]:
+    """Expand (input qubit on c) x (ideal channel on a, b) over the Bell basis
+    of modes (b, c).
+
+    Each branch carries weight 1/4.  Which Bell label carries the unmodified
+    qubit is resolved numerically from the package's fixed conventions (it is the
+    psi_plus branch), not assumed.
+    """
+    joint = tensor(ideal_channel(("a", "b")), qubit.as_vector("c"))
+    reg = joint.register
+    a_reg = ModeRegister(("a",), (1,))
+    branches = []
+    for label, bell in bell_states().items():
+        cond = np.zeros(2, dtype=complex)
+        for na in range(2):
+            amp = 0j
+            for occ_bc, b_amp in zip(bell.register.occupations(), bell.amplitudes):
+                if b_amp == 0:
+                    continue
+                amp += np.conj(b_amp) * joint.amplitudes[reg.index((na, occ_bc[0], occ_bc[1]))]
+            cond[na] = amp
+        vec = FockVector(a_reg, cond)
+        branches.append(BellBranch(label, vec, vec.norm_sq()))
+    return branches
+
+
+def reconstruct_joint(branches: list[BellBranch]) -> FockVector:
+    """Rebuild the joint (a, b, c) state from its Bell branches."""
+    bells = bell_states()
+    total = None
+    for branch in branches:
+        piece = tensor(branch.conditional, bells[branch.label])
+        total = piece.amplitudes if total is None else total + piece.amplitudes
+    return FockVector(ModeRegister(("a", "b", "c"), (1, 1, 1)), total)
+
+
+def wick_moment(n: int, m: int, d: float) -> float:
+    """Vacuum moment <L^n L^dag^m> of a noise operator with [L, L^dag] = d:
+    delta_nm n! d^n."""
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be non-negative")
+    if d < 0:
+        raise ValueError("d must be non-negative")
+    if n != m:
+        return 0.0
+    return math.factorial(n) * d**n

@@ -29,7 +29,6 @@ from qscissors.analytic import (
     NoiseParams,
     teleport_fidelity,
     truncation_fidelity,
-    wick_moment,
 )
 from qscissors.apparatus import (
     QubitAmplitudes,
@@ -49,7 +48,7 @@ from qscissors.channels import (
 from qscissors.cli import CSV_COLUMNS, main, rows_to_csv, run_sweep, SweepGrid
 from qscissors.fock import CoherentDrive, ModeRegister, basis_ket, fidelity
 
-from .reference import corrected_scissors_fidelity, corrected_teleport_fidelity, lossy_bs_kraus
+from .reference import corrected_scissors_fidelity, corrected_teleport_fidelity, lossy_bs_kraus, wick_moment
 from .test_analytic import wick_bruteforce
 from .test_channels import bs_ancilla_click_probability, random_physical_specs
 

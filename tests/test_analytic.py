@@ -12,10 +12,11 @@ from qscissors.analytic import (
     teleport_norm,
     truncation_fidelity,
     truncation_norm,
-    wick_moment,
 )
 from qscissors.channels import BeamSplitterSpec
 from qscissors.fock import CoherentDrive
+
+from .reference import wick_moment
 
 
 def wick_bruteforce(n: int, m: int, d: Fraction) -> Fraction:

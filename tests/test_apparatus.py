@@ -11,13 +11,10 @@ from qscissors.apparatus import (
     ScissorsConfig,
     TeleportConfig,
     bell_click_assignment,
-    bell_decompose,
     bell_states,
     bs_action_on_bell,
     check_scissors_memory,
     full_pipeline,
-    ideal_channel,
-    reconstruct_joint,
     run_scissors,
     run_teleport,
 )
@@ -25,8 +22,11 @@ from qscissors.channels import BeamSplitterSpec, DetectorSpec
 from qscissors.fock import CoherentDrive, fidelity, tensor
 
 from .reference import (
+    bell_decompose,
     closed_form_scissors_fidelity,
     closed_form_teleport_stage,
+    ideal_channel,
+    reconstruct_joint,
     reference_scissors,
 )
 

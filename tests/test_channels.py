@@ -10,6 +10,7 @@ from qscissors.channels import (
     PairOperator,
     _attenuate,
     _blockwise_passive,
+    _loss_table,
     _passive,
     DetectorSpec,
     ImpossibleOutcomeError,
@@ -319,6 +320,29 @@ def test_truncated_blocks_below_top_match_expm_reference(cutoffs):
     ref = fock_unitary_from_2x2(near_identity, *reg.dims)
     assert np.max(np.abs(mine - ref)[np.ix_(built, built)]) < 1e-10
     assert not mine[~built].any() and not mine[:, ~built].any()
+
+
+def test_splitter_store_is_read_only_and_equals_fresh_builds():
+    # after one lossy call: every stored block equals a build without a store, the
+    # small loss table is the grown one's corner bit for bit, and nothing is writable.
+    # Unlike lossy_5050, whose X^dag is diagonal, this spec has two non-diagonal factors
+    spec = BeamSplitterSpec(0.7, 0.1)
+    reg = ModeRegister(("a", "b"), (6, 6))
+    apply_bs_channel(FactoredState.from_state(basis_ket(reg, (1, 5))), ("a", "b"), spec)
+    store = spec.store
+    for v, ladder in zip(store.factors, store.ladders):
+        fresh = _blockwise_passive(v, 6, 6)
+        assert len(ladder) == 7
+        for n, block in enumerate(ladder):
+            assert np.array_equal(block, fresh.batches[n][1])
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0, 0] = 0
+    for tau in store.taus:
+        table = store.loss_table(tau, 3)
+        assert np.array_equal(table, _loss_table(tau, 3))
+        for stored in (table, store.loss_table(tau, 7)):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0, 0] = 0
 
 
 def test_scissors_splitter_build_and_lift_peak_memory():

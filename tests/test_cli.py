@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from qscissors.cli import (
     run_sweep,
     settings_from_config,
 )
+from qscissors.channels import BeamSplitterSpec
 
 
 def test_cli_import_loads_no_scipy():
@@ -209,6 +211,71 @@ def test_small_sweep_rows_in_grid_order():
     rows = run_sweep(grid)
     assert [r.eta for r in rows] == [1.0, 0.7]
     assert all(r.run_error == "" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [cli.DEFAULT_SWEEP, {"eta": [0.9, 0.3], "gamma_bs": [0.05, 0.0], "drive": [1.5, 0.4], "cutoff": 30}],
+    ids=["default", "explicit_cutoff"],
+)
+def test_sweep_rows_equal_independent_points_exactly(axes):
+    # the sweep shares one splitter spec per Gamma; every float must match a point built alone
+    grid = SweepGrid(**axes)
+    alone = [evaluate_point(*p, cutoff=grid.cutoff, tail_eps=grid.tail_eps) for p in grid.points()]
+    assert [asdict(r) for r in run_sweep(grid)] == [asdict(r) for r in alone]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_shared_spec_builds_nothing_after_its_largest_point(monkeypatch, gamma):
+    from qscissors import channels
+
+    counts = {"ladder steps": 0, "loss tables": 0}
+    extend, build = channels._extend_ladder, channels._loss_table
+
+    def counted_extend(v, ladder, low):
+        size = len(ladder)
+        extend(v, ladder, low)
+        counts["ladder steps"] += len(ladder) - size
+
+    def counted_build(*args):
+        counts["loss tables"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(channels, "_extend_ladder", counted_extend)
+    monkeypatch.setattr(channels, "_loss_table", counted_build)
+    spec = BeamSplitterSpec.lossy_5050(gamma)
+    evaluate_point(0.7, gamma, 2.0, bs=spec)
+    assert counts["ladder steps"] > 0 and (counts["loss tables"] > 0) == (gamma > 0)
+    built = dict(counts)
+    for eta, drive in ((0.7, 1.0), (0.7, 0.5), (0.5, 2.0), (1.0, 2.0), (0.5, 0.5)):
+        evaluate_point(eta, gamma, drive, bs=spec)
+    assert counts == built
+
+
+def test_evaluate_point_refuses_a_spec_of_another_gamma():
+    with pytest.raises(ValueError, match="lossy_5050"):
+        evaluate_point(0.7, 0.1, 1.0, bs=BeamSplitterSpec.lossy_5050(0.02))
+    with pytest.raises(ValueError, match="lossy_5050"):
+        evaluate_point(0.7, 0.0, 1.0, bs=BeamSplitterSpec(0.6, 0.8j))
+
+
+def test_sweep_peak_memory_is_that_of_its_largest_point():
+    # one spec is alive at a time and a ladder is shared, not copied per top, so
+    # what the sweep keeps adds nothing to the peak of its largest point
+    import tracemalloc
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    gammas, drives = (0.02, 0.1), (0.5, 2.0, 6.0)
+    largest = max(peak(lambda: evaluate_point(0.7, g, max(drives))) for g in gammas)
+    sweep = peak(lambda: run_sweep(SweepGrid(eta=[0.7], gamma_bs=list(gammas), drive=list(drives))))
+    assert sweep <= 1.05 * largest, f"sweep peak {sweep} bytes, largest point {largest}"
 
 
 # ---------------------------------------------------------------- commands
