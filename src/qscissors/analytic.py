@@ -112,8 +112,12 @@ def truncation_fidelity(params: NoiseParams) -> OracleReport:
     disagrees with the (1+R+d)/(1+R) factor of the printed normalization
     (Eq. 15, ``truncation_norm``): the printed "1 + R d" is a misprint of
     "1 + R + d", and acceptance criterion 08b checks the simulation against
-    the corrected form.  Whether the Gamma > 0 expression is misprinted too
-    is open, so nothing here is corrected.
+    the corrected form.  At Gamma > 0 the bracket x is misprinted too: the
+    simulation matches this form with x replaced by the bracket of the
+    printed Eq. 15, x' = eta G + G/|r|^2 + 1 - eta, and with 1 + R x by
+    1 + R + x' (criterion 08c).  The printed x is negative at eta = 1 for
+    every G > 0, where this value exceeds 1.  Only the docstring records the
+    correction; the value returned is the printed formula.
     """
     eta, g, r = params.eta, params.gamma_bs, params.ratio_R
     x = 1.0 - eta * (1.0 + g**2) / (1.0 - g)
@@ -140,6 +144,14 @@ def teleport_fidelity(params: NoiseParams) -> OracleReport:
             / ( (1+R) * { 1 + R [ 4/(1-G) - 3 eta (1-G) ] } ).
 
     Evaluated verbatim; flagged (not clamped) when it escapes [0, 1].
+
+    With x = 4/(1-G) - 3 eta (1-G) the numerator is x - 1, and the printed
+    normalization (N_eq180, ``teleport_norm``) carries the factor
+    1 + x/R = (R + x)/R, so the denominator should read (1+R)(R + x), not
+    (1+R)(1 + R x): the simulation matches F = 1 - (x-1)/((1+R)(R+x))
+    (criterion 08d).  The two agree only at R = 1 or x = 1.  Only the
+    docstring records the correction; the value returned is the printed
+    formula.
     """
     eta, g, r = params.eta, params.gamma_bs, params.ratio_R
     num = (3.0 + g) / (1.0 - g) - 3.0 * eta * (1.0 - g)

@@ -8,6 +8,13 @@ b, and detects (b, c); the scissors stage prepares that input by mixing a
 single photon on (c, d) and a coherent drive on e, detecting (d, e).
 Environment modes of lossy elements are traced out immediately inside the
 channel application, so the largest live register stays at three modes.
+
+The scissors stage runs in the displaced frame: with a vacuum environment a
+splitter of scattering matrix S maps a displaced input to a displaced output,
+Phi(D(a) rho D(a)^dag) = D(S a) Phi(rho) D(S a)^dag, and so does detector loss
+with sqrt(eta).  Only the drive-free inner state, one photon in all, goes
+through the splitters, on a cutoff-1 register (dim 8) whatever the drive; the
+drive enters in closed form at the counters.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from .fock import (
     FockVector,
     ModeRegister,
     basis_ket,
-    coherent_amplitudes,
     fidelity,
     pad_cutoffs,
     tensor,
@@ -44,6 +50,7 @@ MEMORY_LIMIT_BYTES = 2 * 2**30
 # factor's share falls as the cutoff grows: the largest admitted cutoff, 404, peaks at 16
 # (1.4 GB in all) at drive 10
 BYTES_PER_OPERATOR_ENTRY = 24
+_IDEAL_COUNTER = DetectorSpec(1.0)
 
 
 @dataclass(frozen=True)
@@ -63,8 +70,8 @@ class QubitAmplitudes:
     @classmethod
     def from_drive(cls, drive: CoherentDrive) -> "QubitAmplitudes":
         """The drive's renormalized vacuum and one-photon amplitudes: the scissors target."""
-        norm = math.sqrt(drive.qubit_norm_sq)
-        return cls(drive.amp0 / norm, drive.amp1 / norm)
+        norm = math.hypot(1.0, abs(drive.gamma))  # (amp0, amp1) = exp(-|gamma|^2 / 2) (1, gamma)
+        return cls(1.0 / norm, drive.gamma / norm)
 
     def as_vector(self, label: str = "c", cutoff: int = 1) -> FockVector:
         reg = ModeRegister((label,), (cutoff,))
@@ -177,24 +184,70 @@ def run_scissors(config: ScissorsConfig) -> RunResult:
     splitter, coherent drive against its d output on the second, then
     post-select the click pattern on (d, e).
 
-    Mode cutoffs are sized so every element acts exactly on the retained
-    photon-number blocks: with drive cutoff N, modes d and e get N + 1.
+    The drive is never put into Fock space.  With a vacuum environment a
+    splitter of scattering matrix S maps a displaced input to a displaced
+    output, Phi(D(a) rho D(a)^dag) = D(S a) Phi(rho) D(S a)^dag, and detector
+    loss of efficiency eta does the same with sqrt(eta).  So the drive-free
+    inner state (a photon on c, vacuum on d and e) goes through both splitters
+    on a cutoff-1 register, and the drive enters only at the counters, as
+    D(sqrt(eta) (r gamma, t gamma)) on (d, e) (``_displaced_clicks``).  Nothing
+    is truncated.  The drive cutoff is still resolved, and bounds ``clicks``,
+    so the same inputs are refused as by a Fock-space drive.
     """
-    check_scissors_memory(config.drive.resolved_cutoff(), config.output_cutoff)
-    drive_vec = coherent_amplitudes(config.drive, label="e")
-    n_drive = drive_vec.register.cutoffs[0]
-    tail = max(0.0, 1.0 - drive_vec.norm_sq())
+    n_drive = config.drive.resolved_cutoff()
+    check_scissors_memory(n_drive, config.output_cutoff)
+    for clicks in config.clicks:
+        if not 0 <= clicks <= n_drive + 1:
+            raise ValueError(f"clicks must lie in [0, {n_drive + 1}], got {clicks}")
+    vacuum = basis_ket(ModeRegister(("e",), (1,)), (0,))
+    rho, diagnostics = _propagate(("c", "d", "e"), config.output_cutoff, 1, vacuum, config)
+    counters = [("d", _IDEAL_COUNTER, config.clicks[0]), ("e", _IDEAL_COUNTER, config.clicks[1])]
+    state, probability = postselect(_displaced_clicks(rho, config), counters)
     target = QubitAmplitudes.from_drive(config.drive).as_vector("c", config.output_cutoff)
-    diagnostics = {"truncation_error": tail, "drive_cutoff": n_drive}
-    return _run_stage(("c", "d", "e"), config.output_cutoff, n_drive + 1, drive_vec, config, target, diagnostics)
+    diagnostics.update(truncation_error=0.0, drive_cutoff=n_drive)
+    return RunResult(state, probability, fidelity(state, target), target, diagnostics)
+
+
+def _displaced_clicks(rho: FactoredState, config: ScissorsConfig) -> FactoredState:
+    """The scissors' inner (c, d, e) factor after detector loss and the drive's
+    displacement D(sqrt(eta) beta), beta = S (0, gamma), kept only on the
+    clicked row (k_d, k_e) of a register just large enough to hold it, so that
+    ideal counters post-select it exactly.
+
+    Each counter contributes the rows R[j, n] = <k| D(b) A_j |n>, n <= 1, of
+    the loss branches A_0 = diag(1, sqrt(eta)) and A_1 = sqrt(1 - eta) |0><1|,
+    with <k|D(b)|0> = <k|b> and <k|D(b)|1> = sqrt(k) <k-1|b> - b* <k|b>
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)); every pair of branches
+    becomes a column of the factor."""
+    eta, gamma, (k_d, k_e) = config.detectors.eta, config.drive.gamma, config.clicks
+    scale = math.sqrt(eta)
+    row_d = _click_rows(eta, scale * config.bs2.r * gamma, k_d)
+    row_e = _click_rows(eta, scale * config.bs2.t * gamma, k_e)
+    rows = (row_d[:, None, :, None] * row_e[None, :, None, :]).reshape(4, 4)  # [(j_d, j_e), (n_d, n_e)]
+    out = rho.register.dims[0]
+    branches = (rows @ rho.amplitudes.reshape(out, 4, -1)).reshape(out, -1)
+    reg = ModeRegister(("c", "d", "e"), (out - 1, max(1, k_d), max(1, k_e)))
+    amps = np.zeros(reg.dims + branches.shape[1:], dtype=complex)
+    amps[:, k_d, k_e] = branches
+    return FactoredState(reg, amps.reshape(reg.dim, -1), rho.compression_error)
+
+
+def _click_rows(eta: float, b: complex, k: int) -> np.ndarray:
+    """[[<k|D(b)|0>, sqrt(eta) <k|D(b)|1>], [0, sqrt(1 - eta) <k|D(b)|0>]]: rows j, columns n."""
+    amplitude = CoherentDrive(b).amplitude
+    vac = amplitude(k)
+    one = -b.conjugate() * vac + (math.sqrt(k) * amplitude(k - 1) if k else 0.0)
+    return np.array([[vac, math.sqrt(eta) * one], [0.0, math.sqrt(1.0 - eta) * vac]])
 
 
 def check_scissors_memory(drive_cutoff: int, output_cutoff: int = 1):
-    """Refuse, before anything is allocated, a scissors register whose peak
-    memory estimate exceeds MEMORY_LIMIT_BYTES.  The estimate counts the
+    """Refuse a drive cutoff whose Fock-space scissors register would have a
+    peak memory estimate above MEMORY_LIMIT_BYTES.  The estimate counts the
     entries of the splitter's block operator on modes (d, e), both of dim
     D = drive_cutoff + 2, lifted over mode c: D^2 + (D-1) D (2D-1) / 3 block
-    entries per c state."""
+    entries per c state.  The displaced frame allocates none of it; the bound
+    is kept as the admitted range of drive cutoffs, which the CLI checks
+    before any run."""
     dim = drive_cutoff + 2
     entries = (dim * dim + (dim - 1) * dim * (2 * dim - 1) // 3) * (output_cutoff + 1)
     estimate = BYTES_PER_OPERATOR_ENTRY * entries
@@ -209,14 +262,17 @@ def run_teleport(config: TeleportConfig) -> RunResult:
     target = config.target if config.target is not None else default_target
     if target is None:
         raise ValueError("a target is required when the input is a density operator")
-    return _run_stage(("a", "b", "c"), 1, 2, rho_c, config, target, {})
+    rho, diagnostics = _propagate(("a", "b", "c"), 1, 2, rho_c, config)
+    events = [("b", config.detectors, config.clicks[0]), ("c", config.detectors, config.clicks[1])]
+    state, probability = postselect(rho, events)
+    return RunResult(state, probability, fidelity(state, target), target, diagnostics)
 
 
-def _run_stage(labels, out_cutoff, budget, probe, config, target, diagnostics) -> RunResult:
+def _propagate(labels, out_cutoff, budget, probe, config) -> tuple[FactoredState, dict]:
     """The circuit both stages share, on labels (out, mid, probe): a photon on
-    ``out`` meets vacuum on ``mid`` at bs1, ``mid`` meets the probe state at
-    bs2 (both padded to ``budget``), and clicks on (mid, probe) are
-    post-selected.  The register propagates as a low-rank factor."""
+    ``out`` meets vacuum on ``mid`` at bs1, then ``mid`` meets the probe state
+    at bs2 (both padded to ``budget``).  The register propagates as a low-rank
+    factor; returns it with its diagnostics."""
     out, mid, probe_label = labels
     rho = FactoredState.from_state(basis_ket(ModeRegister((out, mid), (out_cutoff, 1)), (1, 0)))
     rho = apply_bs_channel(rho, (out, mid), config.bs1)
@@ -226,15 +282,13 @@ def _run_stage(labels, out_cutoff, budget, probe, config, target, diagnostics) -
     expected_trace = rho.trace()
     rho = apply_bs_channel(rho, (mid, probe_label), config.bs2)
     trace_defect = max(trace_defect, abs(rho.trace() - expected_trace))
-    events = [(mid, config.detectors, config.clicks[0]), (probe_label, config.detectors, config.clicks[1])]
-    state, probability = postselect(rho, events)
-    diagnostics.update(
+    diagnostics = dict(
         trace_defect=trace_defect,
         register_dim=rho.register.dim,
         state_rank=rho.rank,
         compression_error=rho.compression_error,
     )
-    return RunResult(state, probability, fidelity(state, target), target, diagnostics)
+    return rho, diagnostics
 
 
 def full_pipeline(

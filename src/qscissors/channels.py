@@ -46,6 +46,9 @@ PSD_TOL = 1e-12
 LOSSLESS_TOL = 1e-14
 UNITARITY_TOL = 1e-12
 IMPOSSIBLE_PROBABILITY = 1e-300
+# a table grows to at least this size: the teleporter's modes have cutoff 2, so one build
+# per transmissivity serves both stages of a point
+LOSS_TABLE_MIN_SIZE = 3
 _LADDER_ROOT = np.ones((1, 1, 1), dtype=complex)  # B_0, the vacuum block of every passive V
 _LADDER_ROOT.flags.writeable = False
 
@@ -138,9 +141,9 @@ class SplitterStore:
     ``factors[i]``, which ``_blockwise_passive`` extends only as far as a call's top needs (a
     diagonal factor keeps its exact phases and needs none).
     ``taus`` are the loss step's transmissivities s_i^2; ``loss_table`` keeps one table
-    A_k(n) per tau, grown to the largest mode size asked for, and hands out its top-left
-    corner, which is bit for bit the table of the smaller size.  Nothing is rebuilt or
-    dropped while the spec lives, and every stored array is read-only."""
+    A_k(n) per tau, grown to the largest mode size asked for (at least LOSS_TABLE_MIN_SIZE),
+    and hands out its top-left corner, which is bit for bit the table of the smaller size.
+    Nothing is rebuilt or dropped while the spec lives, and every stored array is read-only."""
 
     def __init__(self, spec: BeamSplitterSpec):
         if spec.is_lossless:
@@ -154,7 +157,7 @@ class SplitterStore:
     def loss_table(self, tau: float, d: int) -> np.ndarray:
         table = self._tables.get(tau)
         if table is None or table.shape[-1] < d:
-            table = self._tables[tau] = _loss_table(tau, d)
+            table = self._tables[tau] = _loss_table(tau, max(d, LOSS_TABLE_MIN_SIZE))
         return table[:, :d, :d]
 
 
@@ -255,16 +258,20 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | Non
     on the determinant phase).  G is tridiagonal over the states (m, n - m); the phases
     exp(i k arg h_01) make it real, and blocks of equal size share one batched
     eigendecomposition.  A diagonal V gives the exact phases V00^m V11^n."""
-    if np.max(np.abs(v @ v.conj().T - np.eye(2))) > UNITARITY_TOL:
+    (v00, v01), (v10, v11) = np.asarray(v, dtype=complex).tolist()
+    defect = max(  # the largest entry of |V V^dag - I|
+        abs(abs(v00) ** 2 + abs(v01) ** 2 - 1),
+        abs(abs(v10) ** 2 + abs(v11) ** 2 - 1),
+        abs(v00 * v10.conjugate() + v01 * v11.conjugate()),
+    )
+    if defect > UNITARITY_TOL:
         raise ValueError(f"passive matrix is not unitary within {UNITARITY_TOL}")
     dims = (cutoff1 + 1, cutoff2 + 1)
     top = cutoff1 + cutoff2 if top is None else min(top, cutoff1 + cutoff2)
-    (v00, v01), (v10, v11) = np.asarray(v, dtype=complex).tolist()
     if v01 == 0 and v10 == 0:
-        powers0 = np.cumprod(np.append(1, np.full(cutoff1, v00)))
-        powers1 = np.cumprod(np.append(1, np.full(cutoff2, v11)))
-        phases = np.outer(powers0, powers1)
-        phases[np.add.outer(np.arange(dims[0]), np.arange(dims[1])) > top] = 0
+        phases = np.outer(_powers(v00, cutoff1), _powers(v11, cutoff2))
+        if top < cutoff1 + cutoff2:
+            phases[np.add.outer(np.arange(dims[0]), np.arange(dims[1])) > top] = 0
         return PairOperator(dims, phases=phases.ravel())
     low = min(cutoff1, cutoff2, top)
     ladder = [_LADDER_ROOT] if ladder is None else ladder
@@ -275,6 +282,14 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | Non
     if top > low:
         batches += _truncated_blocks((v00, v01, v10, v11), dims, low, top)
     return PairOperator(dims, tuple(batches))
+
+
+def _powers(z: complex, n: int) -> list:
+    """[1, z, z^2, .., z^n], each the product of the one before and z."""
+    powers = [1.0 + 0j]
+    for _ in range(n):
+        powers.append(powers[-1] * z)
+    return powers
 
 
 def _extend_ladder(v: np.ndarray, ladder: list, low: int):
@@ -455,21 +470,16 @@ def _attenuate(state: FactoredState, label: str, tau: float, store: SplitterStor
     post = reg.strides[pos]
     amps = state.amplitudes.reshape(-1, d, post, state.rank)
     amp_k, weight = store.loss_table(tau, d) if store is not None else _loss_table(tau, d)
-    k = np.arange(d)[:, None]
     parts = np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, d, 2 * post * state.rank)
-    population = np.einsum("ijk,ijk->j", parts, parts)
-    branch_weight = weight @ population
-    keep = branch_weight > COMPRESSION_TOL * branch_weight.sum()
-    kept = np.flatnonzero(keep)
-    error = state.compression_error + float(branch_weight[~keep].sum())
-    if kept.size == 1 and kept[0] == 0:  # A_0 = tau^(n/2) alone (a vacuum mode) only rescales rows
+    branch_weight = (weight @ np.einsum("ijk,ijk->j", parts, parts)).tolist()
+    floor = COMPRESSION_TOL * sum(branch_weight)
+    kept = [k for k, w in enumerate(branch_weight) if w > floor]
+    error = state.compression_error + sum(w for w in branch_weight if w <= floor)
+    if kept == [0]:  # A_0 = tau^(n/2) alone (a vacuum mode) only rescales rows
         return FactoredState(reg, (amps * amp_k[0, :, None, None]).reshape(reg.dim, -1), error)
-    source = k + kept  # output photon number n of branch k reads input n + k
-    clipped = np.minimum(source, d - 1)
-    coeff = np.where(source < d, amp_k[kept, clipped], 0.0)
-    gather = (clipped[:, None, :] * post + np.arange(post)[:, None]).reshape(-1)
-    out = np.take(amps.reshape(-1, d * post, state.rank), gather, axis=1).reshape(-1, d, post, kept.size, state.rank)
-    out *= coeff[:, None, :, None]
+    out = np.zeros(amps.shape[:3] + (len(kept), state.rank), dtype=complex)
+    for j, k in enumerate(kept):  # output photon number n of branch k reads input n + k
+        out[:, : d - k, :, j] = amps[:, k:] * amp_k[k, k:, None, None]
     return FactoredState(reg, out.reshape(reg.dim, -1), error).compressed()
 
 

@@ -13,6 +13,7 @@ never mutate their inputs, so values can be shared freely across sweep workers.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -251,8 +252,8 @@ class FactoredState:
         if isinstance(state, FockVector):
             return cls(state.register, state.amplitudes[:, None])
         vals, vecs = np.linalg.eigh(state.matrix)
-        keep, dropped = _dominant(vals)
-        return cls(state.register, vecs[:, keep] * np.sqrt(vals[keep]), dropped)
+        cut, dropped = _dominant(vals)
+        return cls(state.register, vecs[:, cut:] * np.sqrt(vals[cut:]), dropped)
 
     @property
     def rank(self) -> int:
@@ -269,17 +270,19 @@ class FactoredState:
         parts = np.ascontiguousarray(self.amplitudes).view(float)
         g = (parts.T @ parts).reshape(self.rank, 2, self.rank, 2)
         vals, vecs = np.linalg.eigh(g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 0, :, 1] - g[:, 1, :, 0]))
-        keep, dropped = _dominant(vals)
-        return FactoredState(self.register, self.amplitudes @ vecs[:, keep], self.compression_error + dropped)
+        cut, dropped = _dominant(vals)
+        return FactoredState(self.register, self.amplitudes @ vecs[:, cut:], self.compression_error + dropped)
 
     def to_density(self) -> DensityOperator:
         return DensityOperator(self.register, self.amplitudes @ self.amplitudes.conj().T, check=False)
 
 
-def _dominant(weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Mask of the weights above COMPRESSION_TOL of the total, and the weight of the rest."""
-    keep = weights > COMPRESSION_TOL * max(float(weights.sum()), 0.0)
-    return keep, float(np.maximum(weights[~keep], 0.0).sum())
+def _dominant(weights: np.ndarray) -> tuple[int, float]:
+    """For ascending ``weights`` (as ``eigh`` returns them): the index of the first one above
+    COMPRESSION_TOL of the total, and the positive weight below it."""
+    values = weights.tolist()
+    cut = bisect.bisect_right(values, COMPRESSION_TOL * max(sum(values), 0.0))
+    return cut, sum(max(v, 0.0) for v in values[:cut])
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,15 @@ algebra of the ideal teleporter and the vacuum Wick moment, oracles that only
 the tests use, also live here; they build on the package's Fock vectors and
 Bell states.
 
-Imports stay absolute: the benchmark loads this file by path.
+Imports stay absolute: the benchmark loads this file by path.  scipy is
+imported only inside the two functions that call ``expm``/``logm``, so loading
+the file for its closed forms keeps scipy out of the process.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from qscissors.apparatus import QubitAmplitudes, bell_states
 from qscissors.channels import PSD_TOL, BeamSplitterSpec
@@ -32,6 +33,8 @@ def destroy(dim):
 
 def fock_unitary_from_2x2(v, d1, d2):
     """expm realization of the passive transformation with Heisenberg matrix v."""
+    from scipy.linalg import expm, logm
+
     h = 1j * logm(v)
     a1 = np.kron(destroy(d1), np.eye(d2))
     a2 = np.kron(np.eye(d1), destroy(d2))
@@ -43,6 +46,8 @@ def fock_unitary_from_2x2(v, d1, d2):
 def fock_block_from_2x2(v, n):
     """expm realization of the n-photon block of the passive transformation with
     Heisenberg matrix v, on the states (i, n - i), i = 0..n."""
+    from scipy.linalg import expm, logm
+
     h = 1j * logm(v)
     i = np.arange(n + 1)
     hop = np.sqrt((i[:-1] + 1.0) * (n - i[:-1]))  # <i + 1, n - i - 1| a1^dag a2 |i, n - i>
@@ -260,13 +265,16 @@ def trace_keep_first(rho, dims):
     return np.einsum("irjr->ij", t)
 
 
-def reference_scissors(eta, gamma_bs, drive_gamma, n_drive):
-    """Full scissors stage on modes (c, d, e): returns (rho_c, probability,
-    fidelity against the normalized zero/one-photon drive target)."""
+def reference_scissors(eta, gamma_bs, drive_gamma, n_drive, clicks=(1, 0), spec=None):
+    """Full scissors stage on modes (c, d, e), with the drive truncated at
+    ``n_drive`` photons and counts ``clicks`` on (d, e): returns (rho_c,
+    probability, fidelity against the normalized zero/one-photon drive
+    target).  Both splitters are the balanced element of damping
+    ``gamma_bs``, or ``spec``'s (t, r) when it is given."""
     budget = n_drive + 1
     dims = [2, budget + 1, budget + 1]
     tt = math.sqrt((1 - gamma_bs) / 2)
-    t, r = tt, 1j * tt
+    t, r = (tt, 1j * tt) if spec is None else (spec.t, spec.r)
 
     rho_cd = np.zeros((2 * (budget + 1),) * 2, dtype=complex)
     idx = 1 * (budget + 1) + 0
@@ -278,8 +286,8 @@ def reference_scissors(eta, gamma_bs, drive_gamma, n_drive):
     rho = np.kron(rho_cd, np.outer(ce, ce.conj()))
     rho = apply_lossy_bs(rho, dims, (1, 2), t, r)
 
-    wd = povm_diag(eta, 1, budget + 1)
-    we = povm_diag(eta, 0, budget + 1)
+    wd = povm_diag(eta, clicks[0], budget + 1)
+    we = povm_diag(eta, clicks[1], budget + 1)
     w = np.kron(np.ones(2), np.kron(wd, we))
     prob = float(np.sum(w * np.diag(rho).real))
     sw = np.sqrt(w)

@@ -160,11 +160,29 @@ def test_scissors_exact_truncation_with_room_above():
 
 
 def test_scissors_diagnostics_track_truncation():
+    # the drive never enters Fock space, so nothing is truncated; the state
+    # matches the dense reference, whose drive tail above 16 photons is 1.1e-15
     drive = CoherentDrive(1.0)
     res = run_scissors(ScissorsConfig(drive=drive))
-    tail = drive.tail_probability(drive.resolved_cutoff())
-    assert res.diagnostics["truncation_error"] == pytest.approx(tail, abs=1e-14)
+    assert res.diagnostics["truncation_error"] == 0.0
     assert res.diagnostics["trace_defect"] < 1e-10
+    ref_rho, ref_p, ref_f = reference_scissors(1.0, 0.0, 1.0, n_drive=16)
+    assert res.probability == pytest.approx(ref_p, rel=1e-13)
+    assert np.max(np.abs(res.state.matrix - ref_rho)) <= 1e-14
+    assert res.fidelity == pytest.approx(ref_f, abs=1e-14)
+
+
+@pytest.mark.parametrize("clicks", [(1, 0), (0, 1), (1, 1), (2, 1)])
+def test_scissors_rare_click_patterns_match_the_dense_reference(clicks):
+    # a drive-truncated engine misses the exact state by a relative 1.7e-8 at
+    # clicks (2, 1) here, with a drive tail of only 7.5e-13; the frame is exact.
+    # The reference keeps 12 drive photons, a tail of 4e-26
+    eta, gamma_bs, drive = 0.402, 0.187, 0.251
+    res = run_scissors(lossy_cfg(eta, gamma_bs, drive, clicks=clicks))
+    ref_rho, ref_p, ref_f = reference_scissors(eta, gamma_bs, drive, n_drive=12, clicks=clicks)
+    assert res.probability == pytest.approx(ref_p, rel=1e-12)
+    assert np.max(np.abs(res.state.matrix - ref_rho)) <= 1e-12 * np.max(np.abs(ref_rho))
+    assert res.fidelity == pytest.approx(ref_f, rel=1e-12)
 
 
 def test_scissors_lossy_matches_expm_reference():
@@ -191,6 +209,21 @@ def test_scissors_probability_equals_inverse_norm_constant():
         params = NoiseParams.from_drive(eta, gamma_bs, CoherentDrive(g))
         norm = truncation_norm(params, BeamSplitterSpec.lossy_5050(gamma_bs))
         assert res.probability == pytest.approx(1.0 / norm.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("clicks", [(1, 0), (0, 1), (2, 1)])
+def test_scissors_with_unbalanced_lossy_splitters_matches_the_dense_reference(clicks):
+    # the b* <k|b> term of <k|D(b)|1> = sqrt(k) <k-1|b> - b* <k|b> cancels
+    # between the counters when Omega = t r* + r t* = 0, as for every balanced
+    # lossy_5050 element; these elements have Omega 0.36 and -0.1.  The
+    # reference keeps 10 drive photons, a tail of 4e-18
+    drive, detectors = CoherentDrive(0.3 - 0.2j), DetectorSpec(0.6)
+    for spec in (BeamSplitterSpec(0.6, 0.3 + 0.2j), BeamSplitterSpec(0.5 + 0.3j, -0.4 + 0.5j)):
+        res = run_scissors(ScissorsConfig(drive=drive, bs1=spec, bs2=spec, detectors=detectors, clicks=clicks))
+        ref_rho, ref_p, ref_f = reference_scissors(0.6, 0.0, 0.3 - 0.2j, n_drive=10, clicks=clicks, spec=spec)
+        assert res.probability == pytest.approx(ref_p, rel=1e-12)
+        assert np.max(np.abs(res.state.matrix - ref_rho)) <= 1e-12 * np.max(np.abs(ref_rho))
+        assert res.fidelity == pytest.approx(ref_f, rel=1e-12)
 
 
 def test_scissors_custom_click_pattern():
@@ -325,11 +358,11 @@ def test_pipeline_results_in_range_and_physical():
 
 
 def test_large_drives_stay_exact_low_rank_and_fast():
-    # drive 6 (cutoff 86, register dim 15488) needs 3.8 GB as a dense rho;
-    # the factored register runs it in well under a second
+    # a Fock-space drive at 6 (cutoff 86) would need a register of dim 15488;
+    # the displaced frame runs every drive on the same dim-8 register
     eta, gamma_bs = 0.5, 0.1
     start = time.perf_counter()
-    for g in (3.0, 6.0):
+    for g in (0.5, 3.0, 6.0, 10.0):
         cfg = lossy_cfg(eta, gamma_bs, g)
         params = NoiseParams.from_drive(eta, gamma_bs, CoherentDrive(g))
         norm15 = truncation_norm(params, BeamSplitterSpec.lossy_5050(gamma_bs)).value
@@ -344,7 +377,7 @@ def test_large_drives_stay_exact_low_rank_and_fast():
         for res in (alone, s_res, t_res):
             assert res.diagnostics["compression_error"] <= 1e-12
             assert res.diagnostics["state_rank"] <= 16
-        assert s_res.diagnostics["register_dim"] == 2 * (s_res.diagnostics["drive_cutoff"] + 2) ** 2
+        assert s_res.diagnostics["register_dim"] == alone.diagnostics["register_dim"] == 8
     assert time.perf_counter() - start < 15.0
 
 
@@ -356,6 +389,25 @@ def test_memory_estimate_admits_every_auto_cutoff_and_refuses_larger_ones():
         check_scissors_memory(405)
     with pytest.raises(ValueError, match=str(MEMORY_LIMIT_BYTES)):
         run_scissors(ScissorsConfig(drive=CoherentDrive(1.0, cutoff=10**6)))
+
+
+@pytest.mark.parametrize("drive", [30.0, 1e3, 1e3j, 1e150 + 1e150j])
+def test_qubit_from_drive_holds_where_the_drive_amplitudes_underflow(drive):
+    # the drive's zero/one-photon weight underflows from |gamma| = 27 on; the target does not
+    qubit = QubitAmplitudes.from_drive(CoherentDrive(drive))
+    norm = math.hypot(1.0, abs(drive))
+    assert qubit.c0 == 1 / norm
+    assert qubit.c1 == pytest.approx(drive / norm, rel=1e-15)
+    assert abs(qubit.c0) ** 2 + abs(qubit.c1) ** 2 == pytest.approx(1.0, abs=1e-15)
+
+
+def test_qubit_from_drive_agrees_with_the_renormalized_drive_amplitudes():
+    for drive in (1e-7, 0.3, 0.8 + 0.3j, -1.5j, 2.0, 6.0, 10.0, 20.0, 26.0):
+        d = CoherentDrive(drive)
+        norm = math.sqrt(d.qubit_norm_sq)
+        qubit = QubitAmplitudes.from_drive(d)
+        assert abs(qubit.c0 - d.amp0 / norm) <= 1e-15
+        assert abs(qubit.c1 - d.amp1 / norm) <= 1e-15
 
 
 def test_qubit_from_drive_is_the_normalized_zero_one_target():

@@ -441,6 +441,73 @@ def test_attenuator_on_vacuum_mode_rescales_rows_and_keeps_columns(tau):
     assert np.max(np.abs(out.to_density().matrix - expected)) <= 1e-13
 
 
+# ---------------------------------------------------------------- displacements
+# With a vacuum environment a splitter maps the coherent product |alpha> to
+# |S alpha> and loss maps |alpha> to |sqrt(tau) alpha>: the identity the
+# scissors stage's displaced frame rests on.  Each |alpha_i| keeps the
+# amplitude at its mode's cutoff below 1e-15, so the loss of a truncated
+# coherent state is exact to float precision.  A passive splitter conserves
+# the total photon number, so its image is compared on the totals within both
+# cutoffs, which its recurrence blocks cover exactly.  The coherent amplitudes
+# are built here, not by the package.
+
+
+def coherent_factor(labels, cutoffs, alphas):
+    columns = []
+    for cutoff, alpha in zip(cutoffs, alphas):
+        n = np.arange(cutoff + 1)
+        log_mag = n * math.log(abs(alpha)) - 0.5 * np.array([math.lgamma(k + 1) for k in n]) - abs(alpha) ** 2 / 2
+        columns.append(np.exp(log_mag + 1j * n * np.angle(alpha)))
+    amps = columns[0]
+    for column in columns[1:]:
+        amps = np.kron(amps, column)
+    return FactoredState(ModeRegister(labels, cutoffs), amps[:, None])
+
+
+def assert_pure_and_equal(state, expected, tol, rows=slice(None)):
+    """``state`` is rank 1 and, on ``rows``, its column is ``expected``'s up to a global phase."""
+    assert state.rank == 1
+    psi, want = state.amplitudes[rows, 0], expected.amplitudes[rows, 0]
+    overlap = np.vdot(want, psi)
+    assert np.max(np.abs(psi * (abs(overlap) / overlap) - want)) <= tol
+
+
+DISPLACEMENT_CASES = [
+    ((8, 8), (0.015 + 0.01j, -0.02j)),
+    ((20, 60), (0.4 - 0.25j, 1.2 + 0.4j)),
+    ((200, 200), (3 + 4j, -2 + 1j)),
+]
+
+
+@pytest.mark.parametrize("cutoffs, alphas", DISPLACEMENT_CASES)
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_splitter_maps_a_coherent_product_to_the_coherent_product_at_s_alpha(cutoffs, alphas, gamma):
+    spec = BeamSplitterSpec.lossy_5050(gamma)
+    state = coherent_factor(("a", "b"), cutoffs, alphas)
+    out = apply_bs_channel(state, ("a", "b"), spec)
+    expected = coherent_factor(("a", "b"), cutoffs, spec.scattering_matrix @ np.array(alphas))
+    assert out.compression_error <= 1e-13
+    assert_pure_and_equal(out, expected, 1e-14, state.register.total_photons() <= min(cutoffs))
+
+
+def test_random_lossy_splitters_map_coherent_products_to_s_alpha():
+    alphas = np.array((0.4 + 0.3j, -0.45j))
+    for spec in random_physical_specs(4, seed=23):
+        state = coherent_factor(("a", "b"), (24, 24), alphas)
+        out = apply_bs_channel(state, ("a", "b"), spec)
+        expected = coherent_factor(("a", "b"), (24, 24), spec.scattering_matrix @ alphas)
+        assert_pure_and_equal(out, expected, 1e-14, state.register.total_photons() <= 24)
+
+
+@pytest.mark.parametrize("cutoffs, alphas", DISPLACEMENT_CASES)
+@pytest.mark.parametrize("tau", [0.02, 0.5, 0.9])
+def test_loss_maps_a_coherent_state_to_sqrt_tau_alpha(cutoffs, alphas, tau):
+    out = _attenuate(coherent_factor(("a", "b"), cutoffs, alphas), "b", tau)
+    expected = coherent_factor(("a", "b"), cutoffs, (alphas[0], math.sqrt(tau) * alphas[1]))
+    assert out.compression_error <= 1e-13
+    assert_pure_and_equal(out, expected, 1e-14)
+
+
 def test_tensor_of_factors_equals_kron():
     rng = np.random.default_rng(9)
     x = FactoredState(ModeRegister(("a", "b"), (1, 2)), rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))

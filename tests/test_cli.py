@@ -34,6 +34,26 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_loading_the_reference_closed_forms_and_a_point_load_no_scipy():
+    # the benchmark execs tests/reference.py for its closed forms; scipy would add
+    # about 27 MB to the process, so only the expm oracles import it
+    src = Path(cli.__file__).resolve().parent.parent
+    reference = Path(__file__).resolve().parent / "reference.py"
+    code = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('qscissors_reference', {str(reference)!r})\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "from qscissors import cli\n"
+        "row = cli.evaluate_point(0.7, 0.1, 1.0)\n"
+        "assert abs(module.closed_form_scissors_fidelity(0.7, 0.1, 1.0) - row.fid_scissors_numeric) < 1e-9\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_evaluate_point_lapack_budget(monkeypatch):
     # one point: 1 SVD for the shared lossy splitter spec, no LAPACK call for
     # the splitter blocks (a recurrence builds them), and one eigh per Gram
@@ -259,23 +279,33 @@ def test_evaluate_point_refuses_a_spec_of_another_gamma():
         evaluate_point(0.7, 0.0, 1.0, bs=BeamSplitterSpec(0.6, 0.8j))
 
 
-def test_sweep_peak_memory_is_that_of_its_largest_point():
+def test_sweep_peak_memory_is_that_of_its_largest_point(monkeypatch):
     # one spec is alive at a time and a ladder is shared, not copied per top, so
-    # what the sweep keeps adds nothing to the peak of its largest point
-    import tracemalloc
-
-    def peak(run):
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    # the blocks and tables a sweep keeps are those its largest point builds alone
+    def store_bytes(spec):
+        store = spec.store
+        ladders = sum(block.nbytes for ladder in store.ladders for block in ladder)
+        return ladders + sum(table.nbytes for table in store._tables.values())
 
     gammas, drives = (0.02, 0.1), (0.5, 2.0, 6.0)
-    largest = max(peak(lambda: evaluate_point(0.7, g, max(drives))) for g in gammas)
-    sweep = peak(lambda: run_sweep(SweepGrid(eta=[0.7], gamma_bs=list(gammas), drive=list(drives))))
-    assert sweep <= 1.05 * largest, f"sweep peak {sweep} bytes, largest point {largest}"
+    largest = []
+    for g in gammas:
+        spec = BeamSplitterSpec.lossy_5050(g)
+        evaluate_point(0.7, g, max(drives), bs=spec)
+        largest.append(store_bytes(spec))
+    made = []
+    lossy_5050 = BeamSplitterSpec.lossy_5050.__func__
+
+    def recording(cls, gamma):
+        made.append(lossy_5050(cls, gamma))
+        return made[-1]
+
+    monkeypatch.setattr(BeamSplitterSpec, "lossy_5050", classmethod(recording))
+    run_sweep(SweepGrid(eta=[0.7], gamma_bs=list(gammas), drive=list(drives)))
+    shared = [spec for spec in made if "store" in vars(spec)]
+    assert [spec.gamma for spec in shared] == pytest.approx(list(gammas), abs=1e-15)
+    assert [store_bytes(spec) for spec in shared] == largest
+    assert min(largest) > 0
 
 
 # ---------------------------------------------------------------- commands

@@ -51,7 +51,7 @@ def test_traced_default_sweep_reproduces_the_pinned_counts():
     layers = tracer.layer_metrics()
     assert {name: layers[f"{name}.calls"] for name in SWEEP_CALLS} == SWEEP_CALLS
     assert layers["cli.run_sweep.calls"] == 1
-    assert layers["channels.lift_pair_operator.nnz"] == 175_542
+    assert layers["channels.lift_pair_operator.nnz"] == 1_908
     assert not any(row.has_violation() for row in rows)
     assert cli.run_sweep is original  # the tracer restored the package on exit
 
