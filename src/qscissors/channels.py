@@ -140,7 +140,9 @@ class SplitterStore:
     X^dag, then W when lossy), and ``ladders[i]`` holds the within-cutoff blocks B_0..B_n of
     ``factors[i]``, which ``_blockwise_passive`` extends only as far as a call's top needs (a
     diagonal factor keeps its exact phases and needs none).
-    ``taus`` are the loss step's transmissivities s_i^2; ``loss_table`` keeps one table
+    ``taus`` are the loss step's transmissivities s_i^2 in closed form: S = [[t, r], [r, t]]
+    = H diag(t + r, t - r) H with H the Hadamard matrix, so s_i = |t +- r|, sorted as ``svd``
+    sorts them (a balanced splitter's two are then equal bit for bit); ``loss_table`` keeps one table
     A_k(n) per tau, grown to the largest mode size asked for (at least LOSS_TABLE_MIN_SIZE),
     and hands out its top-left corner, which is bit for bit the table of the smaller size.
     Nothing is rebuilt or dropped while the spec lives, and every stored array is read-only."""
@@ -149,8 +151,9 @@ class SplitterStore:
         if spec.is_lossless:
             self.factors, self.taus = (spec.scattering_matrix,), ()
         else:
-            w, svals, xh = spec.svd
-            self.factors, self.taus = (xh, w), tuple(min(float(s) ** 2, 1.0) for s in svals)
+            w, _, xh = spec.svd
+            taus = sorted((abs(spec.t + spec.r) ** 2, abs(spec.t - spec.r) ** 2), reverse=True)
+            self.factors, self.taus = (xh, w), tuple(min(tau, 1.0) for tau in taus)
         self.ladders = tuple([_LADDER_ROOT] for _ in self.factors)
         self._tables = {}
 
@@ -176,9 +179,11 @@ class DetectorSpec:
 class PairOperator:
     """Number-conserving operator on two modes of sizes ``dims`` (basis
     (n1, n2), second fastest), held as its total-photon blocks.  Each batch is
-    (index (B, size), blocks (B, size, size)) with
-    <index[b, i]| op |index[b, j]> = blocks[b, i, j], and states in no batch
-    map to zero; a diagonal operator keeps only its ``phases``."""
+    (slices, blocks (B, size, size)) with <s[i]| op |s[j]> = blocks[b, i, j] for
+    s = range(dims[0] * dims[1])[slices[b]]: the states (m, n - m) of one total n,
+    m ascending, lie d2 - 1 apart in the pair index, so every block reads and
+    writes a strided view.  States in no batch map to zero; a diagonal operator
+    keeps only its ``phases``."""
 
     dims: tuple[int, int]
     batches: tuple = ()
@@ -192,12 +197,14 @@ class PairOperator:
         return sum(blocks.size for _, blocks in self.batches)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """op acting on axis 1 of x, shape (rest, d1 * d2, rank)."""
+        """op acting on axis 1 of x, shape (rest, d1 * d2, rank): each block
+        maps the strided view x[:, s] to y[:, s], one block at a time."""
         if self.phases is not None:
             return x * self.phases[:, None]
         y = np.zeros(x.shape, dtype=complex)
-        for index, blocks in self.batches:
-            y[:, index] = blocks @ x[:, index]
+        for slices, blocks in self.batches:
+            for s, block in zip(slices, blocks):
+                np.matmul(block, x[:, s], out=y[:, s])
         return y
 
     def toarray(self) -> np.ndarray:
@@ -269,18 +276,17 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | Non
     dims = (cutoff1 + 1, cutoff2 + 1)
     top = cutoff1 + cutoff2 if top is None else min(top, cutoff1 + cutoff2)
     if v01 == 0 and v10 == 0:
-        phases = np.outer(_powers(v00, cutoff1), _powers(v11, cutoff2))
-        if top < cutoff1 + cutoff2:
-            phases[np.add.outer(np.arange(dims[0]), np.arange(dims[1])) > top] = 0
-        return PairOperator(dims, phases=phases.ravel())
+        p1, p2 = _powers(v00, cutoff1), _powers(v11, cutoff2)
+        phases = [a * b if m + n <= top else 0j for m, a in enumerate(p1) for n, b in enumerate(p2)]
+        return PairOperator(dims, phases=np.array(phases))
     low = min(cutoff1, cutoff2, top)
     ladder = [_LADDER_ROOT] if ladder is None else ladder
     if len(ladder) <= low:
         _extend_ladder(v, ladder, low)
-    index = np.add.outer(np.arange(low + 1), np.arange(low + 1) * (dims[1] - 1))  # [n, i]: state (i, n - i)
-    batches = [(index[n : n + 1, : n + 1], ladder[n]) for n in range(low + 1)]
+    step = dims[1] - 1 or 1  # state (i, n - i) sits at n + i (d2 - 1); any step serves d2 = 1
+    batches = [((slice(n, n + n * step + 1, step),), ladder[n]) for n in range(low + 1)]
     if top > low:
-        batches += _truncated_blocks((v00, v01, v10, v11), dims, low, top)
+        batches += _truncated_blocks((v00, v01, v10, v11), dims, low, top, step)
     return PairOperator(dims, tuple(batches))
 
 
@@ -311,8 +317,9 @@ def _extend_ladder(v: np.ndarray, ladder: list, low: int):
         ladder.append(block[None])
 
 
-def _truncated_blocks(v, dims: tuple[int, int], low: int, top: int) -> list:
-    """Batches exp(-i G) of the blocks with totals low < n <= top (see ``_blockwise_passive``)."""
+def _truncated_blocks(v, dims: tuple[int, int], low: int, top: int, step: int) -> list:
+    """Batches exp(-i G) of the blocks with totals low < n <= top (see ``_blockwise_passive``),
+    each block on the slice of its states, ``step`` apart."""
     v00, v01, v10, v11 = v
     c = cmath.sqrt(v00 * v11 - v01 * v10)
     c = c if ((v00 + v11) / c).real >= 0 else -c
@@ -339,7 +346,9 @@ def _truncated_blocks(v, dims: tuple[int, int], low: int, top: int) -> list:
             gen[:, 1 :: size + 1] = gen[:, size :: size + 1] = hop[start:stop].reshape(count, size)[:, :-1]
             energies, basis = np.linalg.eigh(gen.reshape(count, size, size))
             blocks = (basis * np.exp(-1j * energies)[:, None, :]) @ basis.transpose(0, 2, 1)
-            batches.append((states[order[start:stop]].reshape(count, size), blocks * phases[:size, :size]))
+            first = states[order[start:stop:size]].tolist()  # each block's state of least m
+            slices = tuple(slice(i, i + (size - 1) * step + 1, step) for i in first)
+            batches.append((slices, blocks * phases[:size, :size]))
         start = stop
     return batches
 
@@ -383,26 +392,28 @@ def postselect(rho, events) -> tuple[DensityOperator, float]:
     """Condition on detector outcomes and drop the measured modes.
 
     ``rho`` is a FactoredState or a DensityOperator; ``events`` is a sequence
-    of (mode label, DetectorSpec, clicks).  The POVM weights scale the rows of
-    the factor.  Returns the normalized conditional state on the unmeasured
-    modes and the outcome probability.  A (numerically) impossible outcome raises
-    ImpossibleOutcomeError instead of producing a NaN state.
+    of (mode label, DetectorSpec, clicks).  The counters' POVM weights, each
+    broadcast along its own mode's axis, multiply into one table over the
+    measured modes, whose square root scales the factor.  Returns the normalized
+    conditional state on the unmeasured modes and the outcome probability.  A
+    (numerically) impossible outcome raises ImpossibleOutcomeError instead of
+    producing a NaN state.
     """
     if isinstance(rho, DensityOperator):
         rho = FactoredState.from_state(rho)
     reg = rho.register
     seen = set()
-    weights = {}
+    w_full = 1.0
     for label, det, clicks in events:
         if label in seen:
             raise ValueError(f"duplicate post-selection on mode {label!r}")
         seen.add(label)
-        weights[label] = detector_povm(det, clicks, reg.cutoffs[reg.position(label)])
-    occ = reg.occupations()
-    w_full = np.ones(reg.dim)
-    for label, w in weights.items():
-        w_full *= w[occ[:, reg.position(label)]]
-    weighted = FactoredState(reg, np.sqrt(w_full)[:, None] * rho.amplitudes)
+        pos = reg.position(label)
+        shape = [1] * (reg.n_modes + 1)
+        shape[pos] = -1
+        w_full = w_full * detector_povm(det, clicks, reg.cutoffs[pos]).reshape(shape)
+    amps = np.sqrt(w_full) * rho.amplitudes.reshape(reg.dims + (rho.rank,))
+    weighted = FactoredState(reg, amps.reshape(reg.dim, -1))
     probability = weighted.trace()
     if probability < IMPOSSIBLE_PROBABILITY:
         raise ImpossibleOutcomeError(probability)
@@ -438,7 +449,7 @@ def _passive(state: FactoredState, v: np.ndarray, modes: tuple[str, str], ladder
     reg = state.register
     pair = (reg.position(modes[0]), reg.position(modes[1]))
     rest = tuple(i for i in range(reg.n_modes + 1) if i not in pair)
-    occupied = np.nonzero(np.any(state.amplitudes.reshape(reg.dims + (state.rank,)) != 0, axis=rest))
+    occupied = state.amplitudes.reshape(reg.dims + (state.rank,)).any(axis=rest).nonzero()
     top = int((occupied[0] + occupied[1]).max(initial=0))
     op = _blockwise_passive(v, reg.cutoffs[pair[0]], reg.cutoffs[pair[1]], top, ladder)
     op = lift_pair_operator(op, reg, modes)

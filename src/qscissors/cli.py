@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .analytic import (
     NoiseParams,
@@ -133,7 +133,7 @@ class ReportRow:
             self.prob_scissors,
             self.prob_teleport,
         ]
-        if any(not math.isfinite(v) for v in asdict(self).values() if isinstance(v, float)):
+        if any(not math.isfinite(v) for v in vars(self).values() if isinstance(v, float)):
             return True
         return any(not 0.0 <= v <= 1.0 for v in numeric)
 
@@ -439,7 +439,7 @@ def write_reports(rows: list[ReportRow], out_path: str):
     json_path = csv_path[:-4] + ".json"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(rows_to_csv(rows))
-    payload = {"columns": CSV_COLUMNS, "rows": [asdict(r) for r in rows]}
+    payload = {"columns": CSV_COLUMNS, "rows": [vars(r) for r in rows]}  # the fields, not copied
     with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -29,7 +29,7 @@ COMPRESSION_TOL = 1e-14
 BASIS_ORDER_NOTE = "lexicographic over occupation tuples, last mode fastest (row-major)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModeRegister:
     """Ordered collection of bosonic modes with per-mode photon-number cutoffs.
     ``dims`` (cutoff + 1 per mode), ``dim`` (their product) and the row-major
@@ -38,19 +38,21 @@ class ModeRegister:
     labels: tuple[str, ...]
     cutoffs: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "cutoffs", tuple(int(c) for c in self.cutoffs))
-        if len(self.labels) != len(self.cutoffs):
+    def __init__(self, labels, cutoffs):
+        labels, cutoffs = tuple(labels), tuple(map(int, cutoffs))
+        if len(labels) != len(cutoffs):
             raise ValueError("labels and cutoffs must have equal length")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"mode labels must be unique, got {self.labels}")
-        if any(c < 1 for c in self.cutoffs):
-            raise ValueError(f"every cutoff must be >= 1, got {self.cutoffs}")
-        dims = tuple(c + 1 for c in self.cutoffs)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "dim", math.prod(dims))
-        object.__setattr__(self, "strides", tuple(math.prod(dims[i + 1 :]) for i in range(len(dims))))
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"mode labels must be unique, got {labels}")
+        if min(cutoffs, default=1) < 1:
+            raise ValueError(f"every cutoff must be >= 1, got {cutoffs}")
+        strides, dim = [], 1
+        for c in reversed(cutoffs):
+            strides.insert(0, dim)
+            dim *= c + 1
+        dims = tuple(c + 1 for c in cutoffs)
+        # frozen, so every attribute is set at once through the instance dict
+        vars(self).update(labels=labels, cutoffs=cutoffs, dims=dims, dim=dim, strides=tuple(strides))
 
     @property
     def n_modes(self) -> int:
@@ -264,12 +266,8 @@ class FactoredState:
 
     def compressed(self) -> "FactoredState":
         """The same state on the fewest columns, psi times the dominant
-        eigenvectors of the small Gram matrix psi^dag psi.  The Gram matrix is
-        one real product of the float view [Re psi_j, Im psi_j] with itself,
-        recombined, so no conjugate copy of psi is made."""
-        parts = np.ascontiguousarray(self.amplitudes).view(float)
-        g = (parts.T @ parts).reshape(self.rank, 2, self.rank, 2)
-        vals, vecs = np.linalg.eigh(g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 0, :, 1] - g[:, 1, :, 0]))
+        eigenvectors of the small Gram matrix psi^dag psi."""
+        vals, vecs = np.linalg.eigh(self.amplitudes.conj().T @ self.amplitudes)
         cut, dropped = _dominant(vals)
         return FactoredState(self.register, self.amplitudes @ vecs[:, cut:], self.compression_error + dropped)
 
@@ -362,11 +360,10 @@ class CoherentDrive:
 
     @property
     def ratio(self) -> float:
-        """Vacuum-to-one-photon weight ratio (|amp0| / |amp1|)^2."""
-        a1 = abs(self.amp1)
-        if a1 == 0.0:
-            return math.inf
-        return (abs(self.amp0) / a1) ** 2
+        """Vacuum-to-one-photon weight ratio (|amp0| / |amp1|)^2 = 1 / |gamma|^2, in the
+        closed form that stays finite where both amplitudes underflow."""
+        lam = abs(self.gamma) ** 2
+        return 1.0 / lam if lam else math.inf
 
     @property
     def qubit_norm_sq(self) -> float:
@@ -454,9 +451,9 @@ def pad_cutoffs(state, new_cutoffs: dict):
     for l, c_new in new_cutoffs.items():
         if c_new < reg.cutoffs[reg.position(l)]:
             raise ValueError(f"cannot shrink cutoff of mode {l!r}")
-    big = ModeRegister(reg.labels, cutoffs)
-    if big.dims == reg.dims:
+    if cutoffs == reg.cutoffs:
         return state
+    big = ModeRegister(reg.labels, cutoffs)
     columns = state.amplitudes.shape[1:]
     amps = np.zeros(big.dims + columns, dtype=complex)
     amps[tuple(slice(0, d) for d in reg.dims)] = state.amplitudes.reshape(reg.dims + columns)

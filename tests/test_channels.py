@@ -36,6 +36,12 @@ from .reference import dilate, fock_block_from_2x2, fock_unitary_from_2x2, lossy
 SQ2 = math.sqrt(2)
 
 
+def batch_states(op, slices):
+    """The pair indices of a batch's blocks, one row per block, read through its slices."""
+    pair = np.arange(math.prod(op.dims))
+    return np.array([pair[s] for s in slices])
+
+
 def random_physical_specs(count, seed=11):
     """Sample beam-splitter specs whose noise covariance is PSD."""
     rng = np.random.default_rng(seed)
@@ -178,7 +184,8 @@ def test_passive_build_retained_blocks_stay_unitary(cutoff):
     w, _, _ = np.linalg.svd(BeamSplitterSpec.lossy_5050(0.02).scattering_matrix)
     op = _blockwise_passive(w, cutoff, cutoff)
     retained = []
-    for index, blocks in op.batches:
+    for slices, blocks in op.batches:
+        index = batch_states(op, slices)
         totals = index[:, 0] // (cutoff + 1) + index[:, 0] % (cutoff + 1)
         retained += [(int(n), block) for n, block in zip(totals, blocks) if n <= cutoff]
     assert sorted(n for n, _ in retained) == list(range(cutoff + 1))
@@ -280,7 +287,8 @@ def test_recurrence_blocks_match_expm_reference_and_stay_unitary(name, cutoff):
     op = _blockwise_passive(v, cutoff, cutoff, top=cutoff)
     assert len(op.batches) == cutoff + 1
     for n in range(cutoff + 1) if cutoff == 26 else (0, 1, cutoff // 2, cutoff):
-        index, blocks = op.batches[n]
+        slices, blocks = op.batches[n]
+        index = batch_states(op, slices)
         i = np.arange(n + 1)
         assert np.array_equal(index, [i * (cutoff + 1) + n - i])
         defect = np.max(np.abs(blocks[0].conj().T @ blocks[0] - np.eye(n + 1)))
@@ -320,6 +328,22 @@ def test_truncated_blocks_below_top_match_expm_reference(cutoffs):
     ref = fock_unitary_from_2x2(near_identity, *reg.dims)
     assert np.max(np.abs(mine - ref)[np.ix_(built, built)]) < 1e-10
     assert not mine[~built].any() and not mine[:, ~built].any()
+
+
+UNBALANCED_SPECS = [BeamSplitterSpec(0.7, 0.1), BeamSplitterSpec(0.3, 0.8j)]
+
+
+@pytest.mark.parametrize("spec", [BeamSplitterSpec.lossy_5050(0.02)] + UNBALANCED_SPECS + random_physical_specs(6, seed=17))
+def test_store_transmissivities_are_the_squared_singular_values(spec):
+    # the closed form |t +- r|^2, in svd's descending order
+    assert np.max(np.abs(np.array(spec.store.taus) - np.linalg.svd(spec.scattering_matrix)[1] ** 2)) <= 1e-15
+    assert list(spec.store.taus) == sorted(spec.store.taus, reverse=True)
+
+
+def test_balanced_splitter_transmissivities_are_equal_bit_for_bit():
+    for gamma in (0.02, 0.1, 0.137, 0.5):
+        taus = BeamSplitterSpec.lossy_5050(gamma).store.taus
+        assert taus[0] == taus[1]
 
 
 def test_splitter_store_is_read_only_and_equals_fresh_builds():
@@ -363,6 +387,41 @@ def test_scissors_splitter_build_and_lift_peak_memory():
         tracemalloc.stop()
     assert lifted.nnz == 2 * (102**2 + 101 * 102 * 203 // 3)
     assert peak / lifted.nnz <= 16, f"{peak / lifted.nnz:.1f} bytes per lifted entry"
+
+
+@pytest.mark.parametrize("cutoffs", [(4, 4), (3, 6), (6, 2)])
+@pytest.mark.parametrize("extra", [0, 2, None])
+def test_strided_blocks_match_expm_reference_through_the_embedding(cutoffs, extra):
+    # tops at the smaller cutoff (recurrence blocks only), two above it, and the full
+    # operator; unequal cutoffs put several truncated blocks of one size in a batch.
+    # The pair (z, x) is reversed and not adjacent.  Eigenphases inside (-pi/2, pi/2)
+    # put both logs on one branch, so the truncated blocks agree with the reference
+    c_z, c_x = cutoffs
+    reg = ModeRegister(("x", "s", "z"), (c_x, 1, c_z))
+    iz, ix = reg.position("z"), reg.position("x")
+    rng = np.random.default_rng(40 + c_z)
+    v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    near_identity = (v * np.exp(-1j * rng.uniform(-1.5, 1.5, 2))) @ v.conj().T
+    top = c_z + c_x if extra is None else min(cutoffs) + extra
+    op = _blockwise_passive(near_identity, c_z, c_x, top)
+    sizes = [len(slices) for slices, _ in op.batches]
+    assert max(sizes) == max(1, min(top, max(cutoffs)) - min(cutoffs))  # full-width truncated blocks
+    occ = reg.occupations()
+    psi = rng.normal(size=(reg.dim, 3)) + 1j * rng.normal(size=(reg.dim, 3))
+    psi[occ[:, iz] + occ[:, ix] > top] = 0.0
+    out = lift_pair_operator(op, reg, ("z", "x")) @ psi
+    ref = moveaxis_embedding(fock_unitary_from_2x2(near_identity, c_z + 1, c_x + 1), reg.dims, iz, ix) @ psi
+    assert np.max(np.abs(out - ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("cutoffs", [(3, 0), (0, 3)])
+def test_strided_blocks_of_a_cutoff_zero_mode_match_expm_reference(cutoffs):
+    # a second mode of size 1 leaves one state per total, and no stride between states
+    rng = np.random.default_rng(44)
+    v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    near_identity = (v * np.exp(-1j * rng.uniform(-1.5, 1.5, 2))) @ v.conj().T
+    ref = fock_unitary_from_2x2(near_identity, cutoffs[0] + 1, cutoffs[1] + 1)
+    assert np.max(np.abs(two_mode_unitary_matrix(near_identity, *cutoffs) - ref)) <= 1e-10
 
 
 # ---------------------------------------------------------------- lift and loss

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -65,7 +65,7 @@ def test_evaluate_point_lapack_budget(monkeypatch):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
     evaluate_point(0.7, 0.1, 0.5)
-    assert len(calls) <= 10, sorted(calls)
+    assert len(calls) <= 7, sorted(calls)
 
 
 def test_evaluate_point_makes_no_eigh_call_inside_the_splitter_build(monkeypatch):
@@ -270,6 +270,13 @@ def test_shared_spec_builds_nothing_after_its_largest_point(monkeypatch, gamma):
     for eta, drive in ((0.7, 1.0), (0.7, 0.5), (0.5, 2.0), (1.0, 2.0), (0.5, 0.5)):
         evaluate_point(eta, gamma, drive, bs=spec)
     assert counts == built
+
+
+def test_balanced_splitter_keeps_one_loss_table_after_a_point():
+    # the two transmissivities of lossy_5050 are equal bit for bit, so they share a table
+    spec = BeamSplitterSpec.lossy_5050(0.1)
+    evaluate_point(0.7, 0.1, 1.0, bs=spec)
+    assert len(spec.store._tables) == 1
 
 
 def test_evaluate_point_refuses_a_spec_of_another_gamma():
@@ -498,6 +505,38 @@ def test_cmd_internal_value_error_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "evaluate_point", broken)
     assert main(["pipeline"]) == 1
     assert capsys.readouterr().err == "run error: fidelity 1.5 outside [0, 1] beyond slack\n"
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+
+def test_reports_bytes_equal_the_asdict_serialization(tmp_path):
+    # the JSON rows are the dataclass fields, and the CSV the .12g cells, as dataclasses.asdict gives them
+    rows = [evaluate_point(*point) for point in json.loads((GOLDEN / "sweep_default.json").read_text())["inputs"]]
+    rows[1] = replace(rows[1], run_error="impossible_outcome", oor_eq16=1)
+    csv_path, json_path = cli.write_reports(rows, str(tmp_path / "report"))
+    payload = {"columns": CSV_COLUMNS, "rows": [asdict(r) for r in rows]}
+    assert Path(json_path).read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    lines = [",".join(CSV_COLUMNS)]
+    for row in rows:
+        lines.append(",".join(format(v, ".12g") if isinstance(v, float) else str(v) for v in asdict(row).values()))
+    assert Path(csv_path).read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_row_violation_agrees_with_the_asdict_form():
+    def asdict_form(row):
+        numeric = [row.fid_scissors_numeric, row.fid_teleport_numeric, row.prob_scissors, row.prob_teleport]
+        if row.run_error or any(not math.isfinite(v) for v in asdict(row).values() if isinstance(v, float)):
+            return True
+        return any(not 0.0 <= v <= 1.0 for v in numeric)
+
+    clean = evaluate_point(0.7, 0.1, 1.0)
+    cases = [clean, replace(clean, run_error="impossible_outcome"), replace(clean, prob_scissors=1.5)]
+    for name, value in asdict(clean).items():
+        if isinstance(value, float):
+            cases += [replace(clean, **{name: bad}) for bad in (math.nan, math.inf, -math.inf)]
+    assert [row.has_violation() for row in cases] == [asdict_form(row) for row in cases]
+    assert [row.has_violation() for row in cases] == [False] + [True] * (len(cases) - 1)
 
 
 def test_row_violation_logic():

@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qscissors.analytic import NoiseParams
 from qscissors.fock import (
     CoherentDrive,
     DensityOperator,
@@ -69,6 +71,24 @@ def test_coherent_ratio_and_qubit_weight():
     assert CoherentDrive(2.0).ratio == pytest.approx(0.25)
     drive = CoherentDrive(1.0)
     assert drive.qubit_norm_sq == pytest.approx(2 * math.exp(-1.0))
+
+
+@pytest.mark.parametrize("drive", [30, 40, 1e3, 40j])
+def test_coherent_ratio_stays_finite_at_large_drives(drive):
+    # from drive 39 on, both amplitudes underflow and (|amp0| / |amp1|)^2 is inf
+    assert CoherentDrive(drive).ratio == pytest.approx(1 / abs(drive) ** 2, rel=1e-15)
+    assert NoiseParams.from_drive(0.7, 0.1, CoherentDrive(drive)).ratio_R == CoherentDrive(drive).ratio
+
+
+def test_coherent_ratio_agrees_with_the_amplitude_form_on_golden_inputs():
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+    drives = {point[2] for path in golden.glob("*.json") for point in json.loads(path.read_text())["inputs"]}
+    assert len(drives) > 100
+    for g in drives:
+        drive = CoherentDrive(g)
+        amplitude_form = (abs(drive.amp0) / abs(drive.amp1)) ** 2
+        assert abs(drive.ratio - amplitude_form) <= 1e-14 * amplitude_form
+    assert CoherentDrive(0.0).ratio == math.inf
 
 
 def test_coherent_tail_invariant_and_norm():
