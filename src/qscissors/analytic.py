@@ -22,18 +22,16 @@ class NoiseParams:
     """The noise triple (eta, Gamma, R) plus the drive amplitudes the printed
     normalization constants need.
 
-    ratio_R is the vacuum-to-one-photon weight ratio of the drive,
-    norm_C2 the combined zero/one-photon weight, gamma_amp the coherent
-    amplitude magnitude standing in for the |alpha| of the exponential factors
-    (the derivation never defines alpha; the drive amplitude is the only
-    amplitude in the setup).
+    ratio_R is the vacuum-to-one-photon weight ratio of the drive and
+    gamma_amp the coherent amplitude magnitude standing in for the |alpha| of
+    the exponential factors (the derivation never defines alpha; the drive
+    amplitude is the only amplitude in the setup).
     """
 
     eta: float
     gamma_bs: float
     ratio_R: float
     gamma_amp: float = 1.0
-    norm_C2: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -42,9 +40,12 @@ class NoiseParams:
             raise ValueError(f"Gamma must lie in [0, 1), got {self.gamma_bs}")
         if not self.ratio_R > 0.0:
             raise ValueError(f"ratio R must be positive, got {self.ratio_R}")
-        if self.norm_C2 is None:
-            lam = self.gamma_amp**2
-            object.__setattr__(self, "norm_C2", math.exp(-lam) * (1.0 + lam))
+
+    @property
+    def norm_C2(self) -> float:
+        """Combined zero/one-photon weight of the drive, |C|^2 = e^(-|g|^2) (1 + |g|^2)."""
+        lam = self.gamma_amp**2
+        return math.exp(-lam) * (1.0 + lam)
 
     @classmethod
     def from_drive(cls, eta: float, gamma_bs: float, drive: CoherentDrive) -> "NoiseParams":
@@ -53,7 +54,6 @@ class NoiseParams:
             gamma_bs=gamma_bs,
             ratio_R=drive.ratio,
             gamma_amp=abs(drive.gamma),
-            norm_C2=drive.qubit_norm_sq,
         )
 
 
@@ -92,11 +92,13 @@ def truncation_norm(params: NoiseParams, bs: BeamSplitterSpec) -> OracleReport:
     r2 = abs(bs.r) ** 2
     if r2 == 0.0:
         raise ZeroDivisionError("reflection r = 0 makes the normalization diverge")
-    eta, g = params.eta, params.gamma_bs
+    eta, g, lam = params.eta, params.gamma_bs, params.gamma_amp**2
     d = combined_damping(eta, g)
-    g1_sq = params.norm_C2 / (1.0 + params.ratio_R)
-    inner = params.norm_C2 * t2 + (eta * g + g / r2 + (1.0 - eta)) * r2 * g1_sq
-    value = 1.0 / (math.exp(d * params.gamma_amp**2) * eta * r2 * inner)
+    # both bracket terms carry |C|^2 (|g1|^2 = |C|^2 / (1 + R)), and e^(d |g|^2) |C|^2 is formed as
+    # (1 + |g|^2) e^((d-1) |g|^2): finite where |C|^2 alone underflows (from |g| = 27.3)
+    weight = (1.0 + lam) * math.exp((d - 1.0) * lam)
+    inner = t2 + (eta * g + g / r2 + (1.0 - eta)) * r2 / (1.0 + params.ratio_R)
+    value = 1.0 / (weight * eta * r2 * inner)
     return OracleReport(value, "N_eq15")
 
 

@@ -43,13 +43,9 @@ from .fock import (
     tensor,
 )
 
-MEMORY_LIMIT_BYTES = 2 * 2**30
-# peak bytes per lifted entry of the splitter's block operator, with margin.  ru_maxrss above
-# the imported interpreter, drive 1 at cutoffs 100/200/300: 23/14/12; drive 10, near the
-# largest drive the automatic cutoff admits, at 200/250/300: 37/28/23.  The blocks take 8 and the
-# factor's share falls as the cutoff grows: the largest admitted cutoff, 404, peaks at 16
-# (1.4 GB in all) at drive 10
-BYTES_PER_OPERATOR_ENTRY = 24
+# the largest counter reading a run accepts: the clicked register holds (k_d + 1)(k_e + 1) rows per
+# output state, 5.2 MB per inner-factor column here (a lossy point at (201, 201) peaks near 32 MB)
+MAX_CLICKS = 201
 _IDEAL_COUNTER = DetectorSpec(1.0)
 
 
@@ -191,20 +187,17 @@ def run_scissors(config: ScissorsConfig) -> RunResult:
     inner state (a photon on c, vacuum on d and e) goes through both splitters
     on a cutoff-1 register, and the drive enters only at the counters, as
     D(sqrt(eta) (r gamma, t gamma)) on (d, e) (``_displaced_clicks``).  Nothing
-    is truncated.  The drive cutoff is still resolved, and bounds ``clicks``,
-    so the same inputs are refused as by a Fock-space drive.
+    is truncated, so any drive runs; ``clicks`` must lie in [0, MAX_CLICKS].
     """
-    n_drive = config.drive.resolved_cutoff()
-    check_scissors_memory(n_drive, config.output_cutoff)
     for clicks in config.clicks:
-        if not 0 <= clicks <= n_drive + 1:
-            raise ValueError(f"clicks must lie in [0, {n_drive + 1}], got {clicks}")
+        if not 0 <= clicks <= MAX_CLICKS:
+            raise ValueError(f"clicks must lie in [0, {MAX_CLICKS}], got {clicks}")
     vacuum = basis_ket(ModeRegister(("e",), (1,)), (0,))
     rho, diagnostics = _propagate(("c", "d", "e"), config.output_cutoff, 1, vacuum, config)
     counters = [("d", _IDEAL_COUNTER, config.clicks[0]), ("e", _IDEAL_COUNTER, config.clicks[1])]
     state, probability = postselect(_displaced_clicks(rho, config), counters)
     target = QubitAmplitudes.from_drive(config.drive).as_vector("c", config.output_cutoff)
-    diagnostics.update(truncation_error=0.0, drive_cutoff=n_drive)
+    diagnostics.update(truncation_error=0.0)
     return RunResult(state, probability, fidelity(state, target), target, diagnostics)
 
 
@@ -238,21 +231,6 @@ def _click_rows(eta: float, b: complex, k: int) -> np.ndarray:
     vac = amplitude(k)
     one = -b.conjugate() * vac + (math.sqrt(k) * amplitude(k - 1) if k else 0.0)
     return np.array([[vac, math.sqrt(eta) * one], [0.0, math.sqrt(1.0 - eta) * vac]])
-
-
-def check_scissors_memory(drive_cutoff: int, output_cutoff: int = 1):
-    """Refuse a drive cutoff whose Fock-space scissors register would have a
-    peak memory estimate above MEMORY_LIMIT_BYTES.  The estimate counts the
-    entries of the splitter's block operator on modes (d, e), both of dim
-    D = drive_cutoff + 2, lifted over mode c: D^2 + (D-1) D (2D-1) / 3 block
-    entries per c state.  The displaced frame allocates none of it; the bound
-    is kept as the admitted range of drive cutoffs, which the CLI checks
-    before any run."""
-    dim = drive_cutoff + 2
-    entries = (dim * dim + (dim - 1) * dim * (2 * dim - 1) // 3) * (output_cutoff + 1)
-    estimate = BYTES_PER_OPERATOR_ENTRY * entries
-    if estimate > MEMORY_LIMIT_BYTES:
-        raise ValueError(f"drive cutoff {drive_cutoff} needs an estimated {estimate} bytes, over {MEMORY_LIMIT_BYTES}")
 
 
 def run_teleport(config: TeleportConfig) -> RunResult:

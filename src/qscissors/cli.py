@@ -34,7 +34,6 @@ from .apparatus import (
     TeleportConfig,
     bell_click_assignment,
     bs_action_on_bell,
-    check_scissors_memory,
     full_pipeline,
     run_scissors,
     run_teleport,
@@ -46,6 +45,14 @@ DEFAULT_SWEEP = {
     "eta": [0.5, 0.7, 1.0],
     "gamma_bs": [0.0, 0.02, 0.1],
     "drive": [0.5, 1.0, 2.0],
+}
+
+# every key a config may hold, by section ("" is the root); parse_config refuses any other
+CONFIG_KEYS = {
+    "": ("eta", "gamma_bs", "drive", "input", "clicks", "sweep", "out"),
+    "drive": ("gamma",),
+    "input": ("c0", "c1"),
+    "sweep": tuple(DEFAULT_SWEEP),
 }
 
 FLOAT_FORMAT = ".12g"
@@ -62,8 +69,6 @@ class RunSettings:
     eta: float = 1.0
     gamma_bs: float = 0.0
     drive_gamma: complex = 1.0
-    cutoff: int | None = None
-    tail_eps: float = 1e-12
     clicks: tuple[int, int] = (1, 0)
     input_qubit: QubitAmplitudes | None = None
     out: str | None = None
@@ -76,14 +81,9 @@ class SweepGrid:
     eta: tuple[float, ...]
     gamma_bs: tuple[float, ...]
     drive: tuple[float, ...]
-    cutoff: int | None = None
-    tail_eps: float = 1e-12
 
     def __post_init__(self):
-        _check_cutoff(self.cutoff, "sweep.cutoff")
-        _check_tail_eps(self.tail_eps, "sweep.tail_eps")
-        drive_rule = functools.partial(_check_drive, cutoff=self.cutoff, tail_eps=self.tail_eps)
-        for name, rule in (("eta", _check_eta), ("gamma_bs", _check_gamma_bs), ("drive", drive_rule)):
+        for name, rule in (("eta", _check_eta), ("gamma_bs", _check_gamma_bs), ("drive", _check_drive)):
             path = f"sweep.{name}"
             values = tuple(getattr(self, name))
             if not values:
@@ -102,7 +102,9 @@ class ReportRow:
     ``run_error`` is empty for a clean point and carries a token (e.g.
     ``impossible_outcome``) when the point failed; failures never abort a
     sweep.  ``oor_*`` flag oracle values escaping [0, 1]; they are findings,
-    not errors.
+    not errors.  ``truncation_error`` is always 0.0, since the scissors stage
+    takes the drive in the displaced frame and truncates nothing; the column
+    stays because recorded reports and the benchmark's golden rows carry it.
     """
 
     eta: float
@@ -143,13 +145,10 @@ CSV_COLUMNS = [f.name for f in fields(ReportRow)]
 
 def parse_config(source) -> dict:
     """Validate a raw config (dict, JSON text, or file path) against the
-    schema; rejects unknown keys, reports offending field paths, and resolves
-    every drive's cutoff so that no input error surfaces later."""
+    schema; rejects unknown keys and reports offending field paths, so that no
+    input error surfaces later."""
     raw = _load_config(source)
-    known = {"eta", "gamma_bs", "drive", "input", "clicks", "sweep", "out"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
+    _check_keys(raw, "")
     out = {}
     out["eta"] = _check_eta(raw.get("eta", 1.0))
     out["gamma_bs"] = _check_gamma_bs(raw.get("gamma_bs", 0.0))
@@ -166,13 +165,10 @@ def parse_config(source) -> dict:
 
 
 def settings_from_config(cfg: dict) -> RunSettings:
-    drive = cfg["drive"]
     return RunSettings(
         eta=cfg["eta"],
         gamma_bs=cfg["gamma_bs"],
-        drive_gamma=drive["gamma"],
-        cutoff=drive["cutoff"],
-        tail_eps=drive["tail_eps"],
+        drive_gamma=cfg["drive"],
         clicks=cfg["clicks"],
         input_qubit=cfg["input"],
         out=cfg["out"],
@@ -212,13 +208,13 @@ def _merge_flags(raw: dict, args) -> dict:
     if args.command == "sweep":
         flags = (("eta", args.eta), ("gamma_bs", args.gamma), ("drive", drive))
         axes = {key: [v] for key, v in flags if v is not None}
-        merged["sweep"] = _overlay(raw.get("sweep", {}), cutoff=args.cutoff, **axes)
+        merged["sweep"] = _overlay(raw.get("sweep", {}), **axes)
         return merged
     merged = _overlay(merged, eta=args.eta, gamma_bs=args.gamma)
     drive_raw = raw.get("drive", {})
     if isinstance(drive_raw, (int, float)):
         drive_raw = {"gamma": drive_raw}
-    merged["drive"] = _overlay(drive_raw, gamma=drive, cutoff=args.cutoff)
+    merged["drive"] = _overlay(drive_raw, gamma=drive)
     c0, c1 = getattr(args, "input_c0", None), getattr(args, "input_c1", None)
     if c0 is not None or c1 is not None:
         merged["input"] = _overlay(raw.get("input", {}), c0=c0, c1=c1)
@@ -232,22 +228,17 @@ def _overlay(section, **updates):
     return {**section, **{key: v for key, v in updates.items() if v is not None}}
 
 
-def _parse_drive(raw) -> dict:
+def _parse_drive(raw) -> complex:
     if isinstance(raw, (int, float)):
         raw = {"gamma": raw}
     if not isinstance(raw, dict):
         raise ConfigError("drive: must be a number or an object")
-    for key in raw:
-        if key not in {"gamma", "cutoff", "tail_eps"}:
-            raise ConfigError(f"unknown config key 'drive.{key}'")
-    cutoff = _check_cutoff(raw.get("cutoff"), "drive.cutoff")
-    tail = _check_tail_eps(raw.get("tail_eps", 1e-12), "drive.tail_eps")
-    gamma = _check_drive(raw.get("gamma", 1.0), "drive.gamma", cutoff, tail)
-    return {"gamma": gamma, "cutoff": cutoff, "tail_eps": tail}
+    _check_keys(raw, "drive")
+    return _check_drive(raw.get("gamma", 1.0), "drive.gamma")
 
 
 def _parse_input(raw) -> QubitAmplitudes:
-    if not isinstance(raw, dict) or set(raw) - {"c0", "c1"}:
+    if not isinstance(raw, dict) or set(raw) - set(CONFIG_KEYS["input"]):
         raise ConfigError("input: must be an object with keys c0, c1")
     c0 = _parse_complex(raw.get("c0", 1.0), "input.c0")
     c1 = _parse_complex(raw.get("c1", 0.0), "input.c1")
@@ -270,21 +261,20 @@ def _parse_clicks(raw) -> tuple[int, int]:
 def _parse_sweep(raw) -> SweepGrid:
     if not isinstance(raw, dict):
         raise ConfigError("sweep: must be an object")
-    for key in raw:
-        if key not in {"eta", "gamma_bs", "drive", "cutoff", "tail_eps"}:
-            raise ConfigError(f"unknown config key 'sweep.{key}'")
+    _check_keys(raw, "sweep")
     def listing(key):
         values = raw.get(key, DEFAULT_SWEEP[key])
         if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
             raise ConfigError(f"sweep.{key}: must be a list of numbers")
         return values
-    return SweepGrid(
-        eta=listing("eta"),
-        gamma_bs=listing("gamma_bs"),
-        drive=listing("drive"),
-        cutoff=raw.get("cutoff"),
-        tail_eps=raw.get("tail_eps", 1e-12),
-    )
+    return SweepGrid(**{key: listing(key) for key in DEFAULT_SWEEP})
+
+
+def _check_keys(raw: dict, section: str):
+    for key in raw:
+        if key not in CONFIG_KEYS[section]:
+            path = f"{section}.{key}" if section else key
+            raise ConfigError(f"unknown config key {path!r}")
 
 
 def _parse_complex(raw, path: str) -> complex:
@@ -314,43 +304,23 @@ def _check_gamma_bs(value, path="gamma_bs") -> float:
     return _check_range(value, path, 0.0, 1.0, open_high=True)
 
 
-def _check_drive(raw, path, cutoff, tail_eps) -> complex:
+def _check_drive(raw, path) -> complex:
     """A real amplitude must be finite and positive, a pair must have a finite, nonzero modulus,
-    and the cutoff must resolve and fit the memory limit; |gamma|^2 must be a normal float so
-    R = 1/|gamma|^2 is finite."""
+    and |gamma|^2 must be a normal float so that R = 1/|gamma|^2 is finite.  Nothing else
+    bounds the drive: the scissors stage never truncates it."""
     gamma = _parse_complex(raw, path)
     lam = abs(gamma) * abs(gamma)
     if (isinstance(raw, (int, float)) and raw < 0) or not sys.float_info.min <= lam < math.inf:
         raise ConfigError(f"{path}: drive amplitude {raw} must be finite and positive, |gamma|^2 normal")
-    try:
-        check_scissors_memory(CoherentDrive(gamma, cutoff=cutoff, tail_eps=tail_eps).resolved_cutoff())
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     return gamma
 
 
-def _check_cutoff(value, path) -> int | None:
-    if value is not None and (not isinstance(value, int) or value < 1):
-        raise ConfigError(f"{path}: must be a positive integer")
-    return value
-
-
-def _check_tail_eps(value, path) -> float:
-    if not isinstance(value, (int, float)) or not 0 < value < 1:
-        raise ConfigError(f"{path}: must lie in (0, 1)")
-    return float(value)
-
-
 def evaluate_point(
-    eta: float,
-    gamma_bs: float,
-    drive_gamma: float,
-    cutoff: int | None = None,
-    tail_eps: float = 1e-12,
-    *,
-    bs: BeamSplitterSpec | None = None,
+    eta: float, gamma_bs: float, drive_gamma: float, *, bs: BeamSplitterSpec | None = None
 ) -> ReportRow:
     """Run the full machine at one noise point and evaluate every oracle.
+    Every drive the config check admits runs: the scissors stage takes it in
+    the displaced frame, with no cutoff.
 
     ``bs`` is the point's splitter, ``BeamSplitterSpec.lossy_5050(gamma_bs)``, given so
     that points of one Gamma share its stored blocks and loss tables (see
@@ -360,7 +330,7 @@ def evaluate_point(
         bs = BeamSplitterSpec.lossy_5050(gamma_bs)
     elif bs != BeamSplitterSpec.lossy_5050(gamma_bs):
         raise ValueError(f"bs must equal lossy_5050({gamma_bs}), got {bs}")
-    drive = CoherentDrive(drive_gamma, cutoff=cutoff, tail_eps=tail_eps)
+    drive = CoherentDrive(drive_gamma)
     params = NoiseParams.from_drive(eta, gamma_bs, drive)
     row = ReportRow(
         eta=eta,
@@ -411,8 +381,7 @@ def run_sweep(grid: SweepGrid) -> list[ReportRow]:
     for j, gamma in enumerate(grid.gamma_bs):
         bs = BeamSplitterSpec.lossy_5050(gamma)
         for (i, eta), (k, drive) in itertools.product(enumerate(grid.eta), enumerate(grid.drive)):
-            row = evaluate_point(eta, gamma, drive, cutoff=grid.cutoff, tail_eps=grid.tail_eps, bs=bs)
-            rows[(i * n_gamma + j) * n_drive + k] = row
+            rows[(i * n_gamma + j) * n_drive + k] = evaluate_point(eta, gamma, drive, bs=bs)
     return rows
 
 
@@ -462,7 +431,7 @@ def _result_payload(kind: str, result, settings: RunSettings) -> dict:
 
 
 def _cmd_single(kind: str, settings: RunSettings) -> int:
-    drive = CoherentDrive(settings.drive_gamma, cutoff=settings.cutoff, tail_eps=settings.tail_eps)
+    drive = CoherentDrive(settings.drive_gamma)
     bs = BeamSplitterSpec.lossy_5050(settings.gamma_bs)
     stage = dict(bs1=bs, bs2=bs, detectors=DetectorSpec(settings.eta), clicks=settings.clicks)
     if kind == "scissors":
@@ -483,13 +452,7 @@ def _cmd_single(kind: str, settings: RunSettings) -> int:
 
 
 def _cmd_pipeline(settings: RunSettings) -> int:
-    row = evaluate_point(
-        settings.eta,
-        settings.gamma_bs,
-        abs(settings.drive_gamma),
-        cutoff=settings.cutoff,
-        tail_eps=settings.tail_eps,
-    )
+    row = evaluate_point(settings.eta, settings.gamma_bs, abs(settings.drive_gamma))
     rows = [row]
     if settings.out:
         write_reports(rows, settings.out)
@@ -535,11 +498,21 @@ def _cmd_bell_check() -> int:
     return 1 if (violation or not exact) else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line, an unknown flag included, as a one-line config error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once: parsing leaves it unchanged."""
+    parser = _Parser(
         prog="qscissors",
         description="Simulate the zero/one-photon scissors teleporter and compare with "
-        "closed-form oracles. Flags override the same key of --config (for sweep, that axis). "
+        "closed-form oracles. The drive is never truncated, so it has no cutoff to set. "
+        "Flags override the same key of --config (for sweep, that axis). "
         "Exit codes: 0 ok, 1 invariant violation or impossible outcome, 2 config error.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -550,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, help="beam-splitter damping in [0, 1)")
         p.add_argument("--drive", type=float, help="coherent drive amplitude |gamma|")
         p.add_argument("--ratio", type=float, help="target weight ratio R (sets drive to 1/sqrt(R))")
-        p.add_argument("--cutoff", type=int, help="drive photon-number cutoff (default: auto)")
         p.add_argument("--out", help="report output path")
         if name == "teleport":
             p.add_argument("--input-c0", type=float, help="input qubit amplitude c0")
@@ -560,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "bell-check":
             return _cmd_bell_check()
         cfg = parse_config(_merge_flags(_load_config(args.config) if args.config else {}, args))

@@ -9,6 +9,9 @@ Basis index of an occupation tuple is therefore
 
 All state objects are immutable in intent: operations return new objects and
 never mutate their inputs, so values can be shared freely across sweep workers.
+
+A coherent drive is held by its amplitude alone: the scissors stage takes it
+in the displaced frame, so no drive cutoff or Poisson tail enters a run.
 """
 
 from __future__ import annotations
@@ -285,60 +288,18 @@ def _dominant(weights: np.ndarray) -> tuple[int, float]:
 
 @dataclass(frozen=True)
 class CoherentDrive:
-    """Coherent field driving the auxiliary port, with explicit truncation control.
+    """Coherent field driving the auxiliary port, held by its amplitude alone.
 
-    ``cutoff=None`` asks for the smallest cutoff whose discarded Poisson tail is
-    below ``tail_eps``; an explicit cutoff that cannot satisfy the tail bound is
-    rejected (naming the required cutoff) rather than silently accepted.
+    The pipeline never truncates it: the scissors stage takes the drive in
+    the displaced frame (``apparatus.run_scissors``), so the drive has no
+    cutoff.  ``coherent_amplitudes`` gives its Fock amplitudes up to a cutoff
+    the caller names.
     """
 
     gamma: complex
-    cutoff: int | None = None
-    tail_eps: float = 1e-12
-    max_cutoff: int = 200
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", complex(self.gamma))
-        if self.tail_eps <= 0:
-            raise ValueError("tail_eps must be positive")
-
-    def tail_probability(self, cutoff: int) -> float:
-        """Poisson probability of more than ``cutoff`` photons."""
-        lam = abs(self.gamma) ** 2
-        if lam == 0.0:
-            return 0.0
-        term = math.exp(-lam)
-        total = term
-        for n in range(1, cutoff + 1):
-            term *= lam / n
-            total += term
-        return max(0.0, 1.0 - total)
-
-    def resolved_cutoff(self) -> int:
-        """Cutoff actually used, honouring the tail invariant.  It is at least
-        1, because the zero/one-photon target needs the one-photon amplitude.
-        One running pass over the Poisson sum, with the float operations of
-        ``tail_probability``, so each tail is bitwise the one it returns."""
-        lam = abs(self.gamma) ** 2
-        term = total = math.exp(-lam)
-        for required in range(1, self.max_cutoff + 1):
-            term *= lam / required
-            total += term
-            if max(0.0, 1.0 - total) < self.tail_eps:  # tail_probability(required); 0 when lam = 0
-                break
-        else:
-            raise ValueError(
-                f"tail_eps={self.tail_eps} unattainable at max_cutoff={self.max_cutoff} "
-                f"for |gamma|^2={abs(self.gamma) ** 2:.6g}"
-            )
-        if self.cutoff is None:
-            return required
-        if self.cutoff < required:
-            raise ValueError(
-                f"cutoff {self.cutoff} leaves a coherent tail above tail_eps={self.tail_eps}; "
-                f"cutoff {required} is required"
-            )
-        return self.cutoff
 
     def amplitude(self, n: int) -> complex:
         """Poissonian amplitude exp(-|g|^2/2) g^n / sqrt(n!)."""
@@ -365,20 +326,13 @@ class CoherentDrive:
         lam = abs(self.gamma) ** 2
         return 1.0 / lam if lam else math.inf
 
-    @property
-    def qubit_norm_sq(self) -> float:
-        """Combined weight of the vacuum and one-photon components."""
-        return abs(self.amp0) ** 2 + abs(self.amp1) ** 2
 
+def coherent_amplitudes(drive: CoherentDrive, cutoff: int, label: str = "e") -> FockVector:
+    """The drive's Fock amplitudes up to ``cutoff`` on a single mode.
 
-def coherent_amplitudes(drive: CoherentDrive, label: str = "e") -> FockVector:
-    """Truncated coherent state on a single mode.
-
-    The vector is deliberately not renormalized after truncation; the missing
-    weight (below ``drive.tail_eps`` by construction) is the tracked
-    truncation error.
+    The vector is deliberately not renormalized: its missing weight is the
+    Poisson tail above the cutoff.
     """
-    cutoff = drive.resolved_cutoff()
     amps = np.array([drive.amplitude(n) for n in range(cutoff + 1)])
     return FockVector(ModeRegister((label,), (cutoff,)), amps)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -140,6 +141,51 @@ def test_truncation_norm_exponential_factor_trivial_at_ideal():
     p1 = params_at(1.0, 0.0, 1.0)
     v1 = truncation_norm(p1, BeamSplitterSpec.ideal_5050()).value
     assert v1 == pytest.approx(4.0 / p1.norm_C2, rel=1e-12)
+
+
+def test_norm_C2_is_derived_from_the_drive_and_cannot_be_set():
+    params = NoiseParams.from_drive(0.7, 0.1, CoherentDrive(1.5))
+    assert params.norm_C2 == math.exp(-2.25) * 3.25
+    with pytest.raises(TypeError):
+        NoiseParams(eta=0.7, gamma_bs=0.1, ratio_R=1.0, norm_C2=0.5)
+    with pytest.raises(AttributeError):
+        params.norm_C2 = 0.5
+    with pytest.raises(AttributeError):
+        object.__setattr__(params, "norm_C2", 0.5)
+
+
+def printed_eq15_form(params, bs):
+    """Eq. 15 term by term, e^(d |g|^2) and |C|^2 apart: finite only while |C|^2 is normal."""
+    t2, r2, eta, g = abs(bs.t) ** 2, abs(bs.r) ** 2, params.eta, params.gamma_bs
+    c2 = math.exp(-params.gamma_amp**2) * (1 + params.gamma_amp**2)
+    inner = c2 * t2 + (eta * g + g / r2 + 1 - eta) * r2 * c2 / (1 + params.ratio_R)
+    return 1 / (math.exp(combined_damping(eta, g) * params.gamma_amp**2) * eta * r2 * inner)
+
+
+def test_truncation_norm_matches_the_printed_form_where_both_are_finite():
+    drives = [0.2, 0.5, 1.0, 1.7, 2.0, 3.0, 5.0, 7.5, 10.0]
+    for eta, g, drive in itertools.product([0.4, 0.7, 1.0], [0.0, 0.02, 0.1, 0.2], drives):
+        params, bs = params_at(eta, g, drive), BeamSplitterSpec.lossy_5050(g)
+        expected = printed_eq15_form(params, bs)
+        assert abs(truncation_norm(params, bs).value - expected) <= 1.2e-14 * expected
+
+
+@pytest.mark.parametrize("eta, drive_max", [(0.7, 30), (0.5, 36)])
+def test_truncation_norm_stays_finite_where_the_qubit_weight_underflows(eta, drive_max):
+    # |C|^2 = e^(-|g|^2) (1 + |g|^2) is 0.0 from |g| = 27.3 on; N_eq15 is not.  Its logarithm
+    # gives the reference: ln N = -(d - 1) |g|^2 - ln(1 + |g|^2) - ln(eta |r|^2 bracket)
+    bs = BeamSplitterSpec.lossy_5050(0.1)
+    r2, t2 = abs(bs.r) ** 2, abs(bs.t) ** 2
+    for drive in np.linspace(27.0, drive_max, 13):
+        lam = float(drive) ** 2
+        params = params_at(eta, 0.1, float(drive))
+        d = combined_damping(eta, 0.1)
+        bracket = t2 + (eta * 0.1 + 0.1 / r2 + 1 - eta) * r2 / (1 + 1 / lam)
+        log_n = -(d - 1) * lam - math.log1p(lam) - math.log(eta * r2 * bracket)
+        value = truncation_norm(params, bs).value
+        assert math.isfinite(value)
+        assert math.log(value) == pytest.approx(log_n, rel=1e-13)
+    assert NoiseParams.from_drive(eta, 0.1, CoherentDrive(28.0)).norm_C2 == 0.0
 
 
 def test_truncation_norm_golden_value():

@@ -1,24 +1,24 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qscissors.analytic import NoiseParams, teleport_norm, truncation_norm
 from qscissors.apparatus import (
-    MEMORY_LIMIT_BYTES,
+    MAX_CLICKS,
     QubitAmplitudes,
     ScissorsConfig,
     TeleportConfig,
     bell_click_assignment,
     bell_states,
     bs_action_on_bell,
-    check_scissors_memory,
     full_pipeline,
     run_scissors,
     run_teleport,
 )
-from qscissors.channels import BeamSplitterSpec, DetectorSpec
+from qscissors.channels import BeamSplitterSpec, DetectorSpec, ImpossibleOutcomeError
 from qscissors.fock import CoherentDrive, fidelity, tensor
 
 from .reference import (
@@ -381,14 +381,46 @@ def test_large_drives_stay_exact_low_rank_and_fast():
     assert time.perf_counter() - start < 15.0
 
 
-def test_memory_estimate_admits_every_auto_cutoff_and_refuses_larger_ones():
-    # the estimate comes from register dims alone, so nothing is allocated here
-    check_scissors_memory(CoherentDrive(1.0).max_cutoff)
-    check_scissors_memory(305)
-    with pytest.raises(ValueError, match=r"cutoff 405 needs an estimated \d+ bytes"):
-        check_scissors_memory(405)
-    with pytest.raises(ValueError, match=str(MEMORY_LIMIT_BYTES)):
-        run_scissors(ScissorsConfig(drive=CoherentDrive(1.0, cutoff=10**6)))
+def test_click_ceiling_admits_201_and_refuses_larger_counts():
+    # the clicked register grows as (k_d + 1)(k_e + 1): the ceiling bounds it whatever the drive
+    assert MAX_CLICKS == 201
+    cfg = lossy_cfg(0.7, 0.1, 20.0, clicks=(MAX_CLICKS, MAX_CLICKS))
+    tracemalloc.start()
+    try:
+        res = run_scissors(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < res.probability <= 1.0
+    assert abs(res.state.trace() - 1.0) <= 1e-12
+    res.state.assert_physical()
+    assert peak <= 40e6, f"{peak / 1e6:.1f} MB at the ceiling"
+    for clicks in [(MAX_CLICKS + 1, 0), (0, MAX_CLICKS + 1), (10**6, 0), (20000, 20000), (-1, 0)]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"clicks must lie in \[0, 201\]"):
+                run_scissors(lossy_cfg(0.7, 0.1, 20.0, clicks=clicks))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
+
+@pytest.mark.parametrize("drive", [12.0, 25.0, 100.0, 1e3, 1e150])
+def test_scissors_runs_or_refuses_every_drive_without_a_cutoff(drive):
+    # the displaced frame takes any drive: the outcome is either physical or impossible, never NaN
+    start = time.perf_counter()
+    try:
+        res = run_scissors(lossy_cfg(0.7, 0.1, drive))
+    except ImpossibleOutcomeError as exc:
+        assert drive >= 100.0, exc
+    else:
+        assert drive < 100.0
+        assert res.fidelity == pytest.approx(closed_form_scissors_fidelity(0.7, 0.1, drive), abs=1e-9)
+        assert res.diagnostics["truncation_error"] == 0.0
+        assert res.diagnostics["register_dim"] == 8
+        assert "drive_cutoff" not in res.diagnostics
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("drive", [30.0, 1e3, 1e3j, 1e150 + 1e150j])
@@ -404,7 +436,7 @@ def test_qubit_from_drive_holds_where_the_drive_amplitudes_underflow(drive):
 def test_qubit_from_drive_agrees_with_the_renormalized_drive_amplitudes():
     for drive in (1e-7, 0.3, 0.8 + 0.3j, -1.5j, 2.0, 6.0, 10.0, 20.0, 26.0):
         d = CoherentDrive(drive)
-        norm = math.sqrt(d.qubit_norm_sq)
+        norm = math.sqrt(abs(d.amp0) ** 2 + abs(d.amp1) ** 2)
         qubit = QubitAmplitudes.from_drive(d)
         assert abs(qubit.c0 - d.amp0 / norm) <= 1e-15
         assert abs(qubit.c1 - d.amp1 / norm) <= 1e-15

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -5,7 +6,8 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import asdict, replace
+import types
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from qscissors.cli import (
     CSV_COLUMNS,
     ConfigError,
     ReportRow,
+    RunSettings,
     SweepGrid,
     evaluate_point,
     main,
@@ -24,6 +27,8 @@ from qscissors.cli import (
     settings_from_config,
 )
 from qscissors.channels import BeamSplitterSpec
+
+from .reference import closed_form_scissors_fidelity
 
 
 def test_cli_import_loads_no_scipy():
@@ -97,9 +102,11 @@ def test_parse_empty_config_gives_ideal_defaults():
     assert settings.eta == 1.0
     assert settings.gamma_bs == 0.0
     assert settings.drive_gamma == 1.0
-    assert settings.cutoff is None
-    assert settings.tail_eps == 1e-12
     assert settings.clicks == (1, 0)
+    assert settings.input_qubit is None
+    assert settings.out is None
+    # no drive cutoff or tail budget is left to default
+    assert [f.name for f in fields(RunSettings)] == ["eta", "gamma_bs", "drive_gamma", "clicks", "input_qubit", "out"]
 
 
 def test_parse_hardware_estimate_point():
@@ -125,11 +132,15 @@ def test_parse_rejects_unknown_keys_with_path():
 
 def test_parse_drive_forms():
     assert settings_from_config(parse_config({"drive": 2.0})).drive_gamma == 2.0
-    cfg = parse_config({"drive": {"gamma": [0.0, 1.0], "cutoff": 12, "tail_eps": 1e-9}})
-    settings = settings_from_config(cfg)
+    settings = settings_from_config(parse_config({"drive": {"gamma": [0.0, 1.0]}}))
     assert settings.drive_gamma == 1j
-    assert settings.cutoff == 12
-    assert settings.tail_eps == 1e-9
+    # nothing bounds a drive but a normal |gamma|^2
+    for drive in (12.0, 100.0, 1e150, [0.0, 1e150]):
+        gamma = settings_from_config(parse_config({"drive": {"gamma": drive}})).drive_gamma
+        assert gamma == (complex(*drive) if isinstance(drive, list) else drive)
+    for key, value in (("cutoff", 12), ("tail_eps", 1e-9), ("max_cutoff", 300)):
+        with pytest.raises(ConfigError, match=f"^unknown config key 'drive.{key}'$"):
+            parse_config({"drive": {"gamma": 1.0, key: value}})
     with pytest.raises(ConfigError, match="drive.gamma"):
         parse_config({"drive": {"gamma": "big"}})
 
@@ -235,13 +246,13 @@ def test_small_sweep_rows_in_grid_order():
 
 @pytest.mark.parametrize(
     "axes",
-    [cli.DEFAULT_SWEEP, {"eta": [0.9, 0.3], "gamma_bs": [0.05, 0.0], "drive": [1.5, 0.4], "cutoff": 30}],
-    ids=["default", "explicit_cutoff"],
+    [cli.DEFAULT_SWEEP, {"eta": [0.9, 0.3], "gamma_bs": [0.05, 0.0], "drive": [1.5, 0.4, 12.0]}],
+    ids=["default", "custom_grid"],
 )
 def test_sweep_rows_equal_independent_points_exactly(axes):
     # the sweep shares one splitter spec per Gamma; every float must match a point built alone
     grid = SweepGrid(**axes)
-    alone = [evaluate_point(*p, cutoff=grid.cutoff, tail_eps=grid.tail_eps) for p in grid.points()]
+    alone = [evaluate_point(*p) for p in grid.points()]
     assert [asdict(r) for r in run_sweep(grid)] == [asdict(r) for r in alone]
 
 
@@ -403,19 +414,21 @@ BOUNDARY_TABLE = [
         r"config error: drive\.gamma: drive amplitude",
         id="drive-pair-overflow",
     ),
-    pytest.param(
-        ["pipeline", "--drive", "100"],
-        2,
-        r"config error: drive\.gamma: tail_eps=1e-12 unattainable .*\|gamma\|\^2=10000$",
-        id="drive-100",
-    ),
-    pytest.param(["pipeline", "--drive", "1000"], 2, r"config error: drive\.gamma: .*unattainable", id="drive-1000"),
+    # drives past the click's reach run, and their rows report the impossible outcome (exit 1)
+    pytest.param(["pipeline", "--drive", "100"], 1, None, id="drive-100"),
+    pytest.param(["pipeline", "--drive", "1000"], 1, None, id="drive-1000"),
     pytest.param(["pipeline", "--drive", "1e-7"], 0, None, id="drive-1e-7"),
     pytest.param(
-        ["sweep", "--config", '{"sweep": {"tail_eps": "x"}}'], 2, r"config error: sweep\.tail_eps", id="sweep-tail-eps-x"
+        ["sweep", "--config", '{"sweep": {"tail_eps": "x"}}'],
+        2,
+        r"config error: unknown config key 'sweep\.tail_eps'$",
+        id="sweep-tail-eps-x",
     ),
     pytest.param(
-        ["sweep", "--config", '{"sweep": {"cutoff": "x"}}'], 2, r"config error: sweep\.cutoff", id="sweep-cutoff-x"
+        ["sweep", "--config", '{"sweep": {"cutoff": "x"}}'],
+        2,
+        r"config error: unknown config key 'sweep\.cutoff'$",
+        id="sweep-cutoff-x",
     ),
     pytest.param(["pipeline", "--config", '{"drive": -1}'], 2, r"config error: drive\.gamma", id="config-drive-negative"),
     pytest.param(["pipeline", "--drive", "-1"], 2, r"config error: drive\.gamma", id="flag-drive-negative"),
@@ -427,13 +440,26 @@ BOUNDARY_TABLE = [
         id="sweep-eta-flag-over-config",
     ),
     pytest.param(["sweep", "--ratio", "4", "--eta", "1", "--gamma", "0"], 0, None, id="sweep-ratio-flag"),
-    pytest.param(["scissors", "--config", '{"clicks": [50, 0]}'], 1, r"run error: clicks must lie in", id="clicks-50"),
+    pytest.param(["scissors", "--config", '{"clicks": [50, 0]}'], 0, None, id="clicks-50"),
+    pytest.param(["scissors", "--drive", "20", "--config", '{"clicks": [201, 201]}'], 0, None, id="clicks-201"),
+    pytest.param(
+        ["scissors", "--config", '{"clicks": [0, 202]}'],
+        1,
+        r"run error: clicks must lie in \[0, 201\], got 202$",
+        id="clicks-202",
+    ),
+    pytest.param(
+        ["scissors", "--config", '{"clicks": [1000000, 0]}'],
+        1,
+        r"run error: clicks must lie in \[0, 201\], got 1000000$",
+        id="clicks-1e6",
+    ),
     pytest.param(["pipeline", "--ratio", "0"], 2, r"config error: ratio", id="ratio-0"),
     pytest.param(["pipeline", "--drive", "1", "--ratio", "1"], 2, r"config error: give either", id="drive-and-ratio"),
     pytest.param(
         ["pipeline", "--cutoff", "3", "--drive", "2"],
         2,
-        r"config error: drive\.gamma: cutoff 3 .*cutoff 25 is required$",
+        r"config error: unrecognized arguments: --cutoff 3$",
         id="cutoff-3-drive-2",
     ),
     pytest.param(["teleport", "--input-c0", "0", "--input-c1", "0"], 2, r"config error: input", id="input-zero"),
@@ -450,12 +476,8 @@ BOUNDARY_TABLE = [
         id="pipeline-out-missing-dir",
     ),
     pytest.param(["sweep", "--out", "/nonexistent_dir/x"], 2, r"config error: cannot write", id="sweep-out-missing-dir"),
-    pytest.param(
-        ["pipeline", "--drive", "1", "--cutoff", "405"],
-        2,
-        r"config error: drive\.gamma: drive cutoff 405 needs an estimated \d+ bytes",
-        id="cutoff-405-over-memory-limit",
-    ),
+    pytest.param(["pipeline", "--eta", "x"], 2, r"config error: argument --eta: invalid float value: 'x'$", id="eta-x"),
+    pytest.param([], 2, r"config error: the following arguments are required: command$", id="no-command"),
 ]
 
 
@@ -484,7 +506,129 @@ def test_cmd_pipeline_tiny_drive_runs_with_cutoff_one(capsys):
     (row,) = _csv_rows(capsys.readouterr().out)
     assert row["run_error"] == ""
     assert all(math.isfinite(float(row[name])) for name in CSV_COLUMNS if name != "run_error")
-    assert float(row["truncation_error"]) <= 1e-12
+    assert float(row["truncation_error"]) == 0.0
+
+
+def _gate():
+    """perfbench/gate.py run as a fresh module, so nothing is written next to it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gate.py"
+    module = types.ModuleType("perfbench_gate")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--drive", "12"], ["--drive", "25"], ["--eta", "0.5", "--gamma", "0.1", "--drive", "36"]],
+    ids=["drive-12", "drive-25", "eta-0.5-gamma-0.1-drive-36"],
+)
+def test_drives_the_stage_computes_run_and_pass_the_gate(flags, tmp_path, capsys):
+    # a Poisson cutoff refused each of these drives, although the displaced frame computes them
+    assert main(["pipeline", *flags, "--out", str(tmp_path / "point")]) == 0
+    assert capsys.readouterr().err == ""
+    (row,) = json.loads((tmp_path / "point.json").read_text())["rows"]
+    assert row["run_error"] == ""
+    assert row["truncation_error"] == 0.0
+    assert _gate().identity_errors(row, closed_form_scissors_fidelity) == []
+
+
+def test_drive_past_the_clicks_reach_reports_the_impossible_outcome(tmp_path, capsys):
+    start = time.perf_counter()
+    assert main(["pipeline", "--drive", "100", "--out", str(tmp_path / "point")]) == 1
+    assert time.perf_counter() - start < 10.0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "Traceback" not in out
+    (row,) = json.loads((tmp_path / "point.json").read_text())["rows"]
+    assert row["run_error"] == "oracle_undefined;impossible_outcome"
+    assert all(math.isfinite(v) for v in row.values() if isinstance(v, float))
+
+
+@pytest.mark.parametrize("command", ["scissors", "teleport", "pipeline", "sweep"])
+def test_cutoff_flag_is_refused_on_every_subcommand(command, capsys):
+    assert main([command, "--cutoff", "30"]) == 2
+    assert capsys.readouterr().err == "config error: unrecognized arguments: --cutoff 30\n"
+
+
+@pytest.mark.parametrize(
+    "config, path",
+    [
+        ({"drive": {"gamma": 1.0, "cutoff": 30}}, "drive.cutoff"),
+        ({"drive": {"gamma": 1.0, "tail_eps": 1e-9}}, "drive.tail_eps"),
+        ({"sweep": {"drive": [1.0], "cutoff": 30}}, "sweep.cutoff"),
+        ({"sweep": {"drive": [1.0], "tail_eps": 1e-9}}, "sweep.tail_eps"),
+    ],
+)
+def test_removed_config_keys_are_refused_as_unknown(config, path, capsys):
+    command = "sweep" if "sweep" in config else "pipeline"
+    assert main([command, "--config", json.dumps(config)]) == 2
+    assert capsys.readouterr().err == f"config error: unknown config key '{path}'\n"
+
+
+# the whole option surface, by subcommand and by config section ("" is the root); a new
+# flag or key must be added here on purpose
+COMMON_FLAGS = {"-h", "--help", "--config", "--eta", "--gamma", "--drive", "--ratio", "--out"}
+OPTION_SURFACE = {
+    "scissors": COMMON_FLAGS,
+    "teleport": COMMON_FLAGS | {"--input-c0", "--input-c1"},
+    "pipeline": COMMON_FLAGS,
+    "sweep": COMMON_FLAGS,
+    "bell-check": {"-h", "--help"},
+}
+CONFIG_SURFACE = {
+    "": {"eta", "gamma_bs", "drive", "input", "clicks", "sweep", "out"},
+    "drive": {"gamma"},
+    "input": {"c0", "c1"},
+    "sweep": {"eta", "gamma_bs", "drive"},
+}
+# one valid config per accepted key
+KEY_EXAMPLES = {
+    "": {"eta": 0.7, "gamma_bs": 0.1, "drive": 2.0, "input": {}, "clicks": [0, 1], "sweep": {}, "out": None},
+    "drive": {"gamma": 2.0},
+    "input": {"c0": 0.6, "c1": 0.8},
+    "sweep": {"eta": [0.7], "gamma_bs": [0.1], "drive": [2.0]},
+}
+
+
+def _section(key, section):
+    return {key: KEY_EXAMPLES[""][key]} if not section else {section: {key: KEY_EXAMPLES[section][key]}}
+
+
+def test_option_surface_is_the_documented_set():
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {s for a in p._actions for s in a.option_strings} for name, p in subparsers.choices.items()}
+    assert flags == OPTION_SURFACE
+    assert {k: set(v) for k, v in cli.CONFIG_KEYS.items()} == CONFIG_SURFACE
+    # parse_config accepts each documented key and refuses any other, removed ones included
+    for section, keys in CONFIG_SURFACE.items():
+        for key in keys:
+            parse_config(_section(key, section))
+        for key in {"cutoff", "tail_eps", "max_cutoff", "frobz"} | set().union(*CONFIG_SURFACE.values()) - keys:
+            raw = {key: 1} if not section else {section: {key: 1}}
+            with pytest.raises(ConfigError, match="unknown config key|input: must be an object with keys c0, c1"):
+                parse_config(raw)
+    assert sum(map(len, OPTION_SURFACE.values())) + sum(map(len, CONFIG_SURFACE.values())) == 49
+
+
+def test_build_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_back_to_back_main_calls_leak_no_flag(tmp_path, capsys):
+    flagged = ["--eta", "0.5", "--gamma", "0.1", "--drive", "2", "--out", str(tmp_path / "first")]
+    assert main(["pipeline", *flagged]) == 0
+    capsys.readouterr()
+    assert main(["pipeline"]) == 0
+    (row,) = _csv_rows(capsys.readouterr().out)
+    assert row == _csv_rows(rows_to_csv([evaluate_point(1.0, 0.0, 1.0)]))[0]
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "first.csv", tmp_path / "first.json"]
+    assert main(["teleport", "--input-c0", "0.6", "--input-c1", "0.8", "--eta", "0.7"]) == 0
+    capsys.readouterr()
+    for command in OPTION_SURFACE:
+        args = vars(cli.build_parser().parse_args([command]))
+        assert args.pop("command") == command
+        assert set(args.values()) <= {None}, args
 
 
 def test_cmd_sweep_flags_replace_config_axes(capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -49,15 +50,14 @@ def test_register_subregister_and_positions():
 
 
 def test_coherent_vacuum_drive():
-    vec = coherent_amplitudes(CoherentDrive(0.0, cutoff=4))
+    vec = coherent_amplitudes(CoherentDrive(0.0), 4)
     assert vec.amplitudes[0] == 1.0
     assert np.all(vec.amplitudes[1:] == 0.0)
 
 
 def test_coherent_unit_amplitude_values():
-    # cutoff 10 leaves a ~1e-8 Poisson tail, so the tail budget must say so
-    drive = CoherentDrive(1.0, cutoff=10, tail_eps=1e-7)
-    vec = coherent_amplitudes(drive)
+    drive = CoherentDrive(1.0)
+    vec = coherent_amplitudes(drive, 10)
     for n in range(11):
         expected = math.exp(-0.5) / math.sqrt(math.factorial(n))
         assert vec.amplitudes[n] == pytest.approx(expected, abs=1e-15)
@@ -70,7 +70,8 @@ def test_coherent_ratio_and_qubit_weight():
     assert CoherentDrive(0.5).ratio == pytest.approx(4.0)
     assert CoherentDrive(2.0).ratio == pytest.approx(0.25)
     drive = CoherentDrive(1.0)
-    assert drive.qubit_norm_sq == pytest.approx(2 * math.exp(-1.0))
+    assert abs(drive.amp0) ** 2 + abs(drive.amp1) ** 2 == pytest.approx(2 * math.exp(-1.0))
+    assert NoiseParams.from_drive(1.0, 0.0, drive).norm_C2 == pytest.approx(2 * math.exp(-1.0))
 
 
 @pytest.mark.parametrize("drive", [30, 40, 1e3, 40j])
@@ -93,29 +94,14 @@ def test_coherent_ratio_agrees_with_the_amplitude_form_on_golden_inputs():
 
 def test_coherent_tail_invariant_and_norm():
     for gamma in (0.5, 1.0, 2.0):
-        drive = CoherentDrive(gamma)
-        vec = coherent_amplitudes(drive)
-        assert 1.0 - drive.tail_eps <= vec.norm_sq() <= 1.0 + 1e-15
-        # not renormalized: missing weight is exactly the Poisson tail
-        tail = drive.tail_probability(drive.resolved_cutoff())
-        assert 1.0 - vec.norm_sq() == pytest.approx(tail, abs=1e-13)
-
-
-def per_n_required_cutoff(drive):
-    """The tail rule scanned from scratch at every n, or None when unattainable."""
-    return next((n for n in range(1, drive.max_cutoff + 1) if drive.tail_probability(n) < drive.tail_eps), None)
-
-
-@pytest.mark.parametrize("tail_eps", [1e-3, 1e-8, 1e-12, 1e-15, 1e-16])
-def test_resolved_cutoff_matches_per_n_tail_rule(tail_eps):
-    for gamma in (0.0, 1e-7, 0.2, 0.5, 0.7, 1.0, 1.7j, 2.0, 3.5, 6.0, 10.0, 30.0):
-        drive = CoherentDrive(gamma, tail_eps=tail_eps, max_cutoff=60)
-        required = per_n_required_cutoff(drive)
-        if required is None:
-            with pytest.raises(ValueError, match="unattainable"):
-                drive.resolved_cutoff()
-        else:
-            assert drive.resolved_cutoff() == required, f"|gamma| = {abs(gamma)}"
+        for cutoff in (1, 5, 25):
+            vec = coherent_amplitudes(CoherentDrive(gamma), cutoff)
+            assert vec.register.cutoffs == (cutoff,)
+            assert vec.norm_sq() <= 1.0 + 1e-15
+            # not renormalized: the missing weight is exactly the Poisson tail above the cutoff
+            lam = gamma**2
+            tail = math.fsum(math.exp(-lam) * lam**n / math.factorial(n) for n in range(cutoff + 1, 100))
+            assert 1.0 - vec.norm_sq() == pytest.approx(tail, abs=1e-13)
 
 
 def test_register_sizes_are_plain_attributes():
@@ -126,35 +112,27 @@ def test_register_sizes_are_plain_attributes():
     assert (empty.dims, empty.dim, empty.strides) == ((), 1, ())
 
 
-def test_coherent_insufficient_cutoff_names_requirement():
-    required = CoherentDrive(2.0).resolved_cutoff()
-    with pytest.raises(ValueError, match=f"cutoff {required} is required"):
-        CoherentDrive(2.0, cutoff=5).resolved_cutoff()
-
-
-def test_coherent_unattainable_tail_at_max_cutoff():
-    with pytest.raises(ValueError, match="unattainable"):
-        CoherentDrive(3.0, max_cutoff=4).resolved_cutoff()
-
-
-def test_coherent_unattainable_message_names_mean_photon_number():
-    # the scan stops at max_cutoff even when exp(-|gamma|^2) underflows
-    with pytest.raises(ValueError, match=r"unattainable at max_cutoff=200 for \|gamma\|\^2=1e\+06"):
-        CoherentDrive(1000.0).resolved_cutoff()
-
-
-def test_coherent_tiny_drive_resolves_to_cutoff_one():
-    # the vacuum alone meets the tail bound, but the target needs |1>
-    drive = CoherentDrive(1e-7)
-    assert drive.resolved_cutoff() == 1
-    vec = coherent_amplitudes(drive)
+def test_coherent_drive_holds_its_amplitude_alone():
+    # no cutoff, tail budget or cutoff ceiling rides on the drive any more
+    assert [f.name for f in fields(CoherentDrive)] == ["gamma"]
+    for removed in ("cutoff", "tail_eps", "max_cutoff"):
+        with pytest.raises(TypeError):
+            CoherentDrive(2.0, **{removed: 5})
+    for drive in (1e-7, 2.0, 1000.0, 1e150):
+        assert CoherentDrive(drive).gamma == complex(drive)
+        assert not hasattr(CoherentDrive(drive), "resolved_cutoff")
+        assert not hasattr(CoherentDrive(drive), "tail_probability")
+    # a tiny drive still gives the one-photon amplitude the target needs
+    vec = coherent_amplitudes(CoherentDrive(1e-7), 1)
     assert vec.register.cutoffs == (1,)
-    assert 1.0 - vec.norm_sq() <= drive.tail_eps
+    assert vec.amplitudes[1] == pytest.approx(1e-7 * math.exp(-0.5e-14), rel=1e-15)
+    with pytest.raises(ValueError, match="cutoff"):
+        coherent_amplitudes(CoherentDrive(1.0), 0)
 
 
 def test_coherent_complex_amplitude_phases():
     drive = CoherentDrive(1j)
-    vec = coherent_amplitudes(drive)
+    vec = coherent_amplitudes(drive, 2)
     assert vec.amplitudes[1] == pytest.approx(1j * math.exp(-0.5))
     assert vec.amplitudes[2] == pytest.approx(-math.exp(-0.5) / math.sqrt(2))
 

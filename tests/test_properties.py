@@ -1,7 +1,7 @@
 """Property tests over random physical inputs: every run post-selects with a
 probability in [0, 1] onto a unit-trace, Hermitian, positive conditional
-state, and the scissors stage keeps its drive tail below tail_eps and its
-rank-compression loss below 1e-12."""
+state, and the scissors stage truncates nothing (its drive enters in the
+displaced frame) and keeps its rank-compression loss below 1e-12."""
 
 import cmath
 import math
@@ -56,7 +56,7 @@ def test_scissors_outcome_is_physical(spec, eta, drive, pattern):
         ScissorsConfig(drive=drive, bs1=spec, bs2=spec, detectors=DetectorSpec(eta), clicks=pattern)
     )
     assert_physical_outcome(result)
-    assert result.diagnostics["truncation_error"] <= drive.tail_eps
+    assert result.diagnostics["truncation_error"] == 0.0
     assert result.diagnostics["compression_error"] <= 1e-12
 
 
