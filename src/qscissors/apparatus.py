@@ -43,8 +43,8 @@ from .fock import (
     tensor,
 )
 
-# the largest counter reading a run accepts: the clicked register holds (k_d + 1)(k_e + 1) rows per
-# output state, 5.2 MB per inner-factor column here (a lossy point at (201, 201) peaks near 32 MB)
+# the largest counter reading a run accepts: a fixed, documented limit of the config surface, not a
+# memory bound, since the clicked row costs the same at every reading (``_displaced_clicks``)
 MAX_CLICKS = 201
 _IDEAL_COUNTER = DetectorSpec(1.0)
 
@@ -194,7 +194,7 @@ def run_scissors(config: ScissorsConfig) -> RunResult:
             raise ValueError(f"clicks must lie in [0, {MAX_CLICKS}], got {clicks}")
     vacuum = basis_ket(ModeRegister(("e",), (1,)), (0,))
     rho, diagnostics = _propagate(("c", "d", "e"), config.output_cutoff, 1, vacuum, config)
-    counters = [("d", _IDEAL_COUNTER, config.clicks[0]), ("e", _IDEAL_COUNTER, config.clicks[1])]
+    counters = [("d", _IDEAL_COUNTER, 0), ("e", _IDEAL_COUNTER, 0)]
     state, probability = postselect(_displaced_clicks(rho, config), counters)
     target = QubitAmplitudes.from_drive(config.drive).as_vector("c", config.output_cutoff)
     diagnostics.update(truncation_error=0.0)
@@ -204,8 +204,9 @@ def run_scissors(config: ScissorsConfig) -> RunResult:
 def _displaced_clicks(rho: FactoredState, config: ScissorsConfig) -> FactoredState:
     """The scissors' inner (c, d, e) factor after detector loss and the drive's
     displacement D(sqrt(eta) beta), beta = S (0, gamma), kept only on the
-    clicked row (k_d, k_e) of a register just large enough to hold it, so that
-    ideal counters post-select it exactly.
+    clicked row (k_d, k_e).  That row is written at occupation (0, 0) of a
+    register whose d and e cutoffs are 1, so that ideal counters at 0 clicks
+    post-select it exactly and nothing grows with the click counts.
 
     Each counter contributes the rows R[j, n] = <k| D(b) A_j |n>, n <= 1, of
     the loss branches A_0 = diag(1, sqrt(eta)) and A_1 = sqrt(1 - eta) |0><1|,
@@ -219,9 +220,9 @@ def _displaced_clicks(rho: FactoredState, config: ScissorsConfig) -> FactoredSta
     rows = (row_d[:, None, :, None] * row_e[None, :, None, :]).reshape(4, 4)  # [(j_d, j_e), (n_d, n_e)]
     out = rho.register.dims[0]
     branches = (rows @ rho.amplitudes.reshape(out, 4, -1)).reshape(out, -1)
-    reg = ModeRegister(("c", "d", "e"), (out - 1, max(1, k_d), max(1, k_e)))
+    reg = ModeRegister(("c", "d", "e"), (out - 1, 1, 1))
     amps = np.zeros(reg.dims + branches.shape[1:], dtype=complex)
-    amps[:, k_d, k_e] = branches
+    amps[:, 0, 0] = branches
     return FactoredState(reg, amps.reshape(reg.dim, -1), rho.compression_error)
 
 
@@ -298,8 +299,6 @@ def _teleport_input(config: TeleportConfig) -> tuple[FockVector | DensityOperato
         if state.register.n_modes != 1:
             raise ValueError("teleport input must be a single-mode state")
         if state.register.labels != ("c",):
-            state = DensityOperator(
-                ModeRegister(("c",), state.register.cutoffs), state.matrix, check=False
-            )
+            raise ValueError(f"teleport input must be on mode 'c', got {state.register.labels[0]!r}")
         return state, None
     raise TypeError(f"unsupported input state type {type(state).__name__}")

@@ -20,9 +20,10 @@ Three models live here:
   dilation and its Kraus set are test oracles in ``tests/reference.py``);
 * inefficient click detectors as diagonal binomial POVMs with post-selection.
 
-Channels act on a low-rank factor rho = psi psi^dag (``fock.FactoredState``),
-so memory and work grow with dim * rank, never dim^2; the rank stays small
-because a coherent drive stays pure under loss.
+Channels and post-selection take a low-rank factor rho = psi psi^dag
+(``fock.FactoredState``) only, so memory and work grow with dim * rank, never
+dim^2; the rank stays small because a coherent drive stays pure under loss.
+Only the post-selected conditional state leaves as a ``DensityOperator``.
 """
 
 from __future__ import annotations
@@ -388,19 +389,18 @@ def detector_povm(det: DetectorSpec, clicks: int, cutoff: int) -> np.ndarray:
     return diag
 
 
-def postselect(rho, events) -> tuple[DensityOperator, float]:
+def postselect(rho: FactoredState, events) -> tuple[DensityOperator, float]:
     """Condition on detector outcomes and drop the measured modes.
 
-    ``rho`` is a FactoredState or a DensityOperator; ``events`` is a sequence
-    of (mode label, DetectorSpec, clicks).  The counters' POVM weights, each
+    ``rho`` is a FactoredState (factors only); ``events`` is a sequence of
+    (mode label, DetectorSpec, clicks).  The counters' POVM weights, each
     broadcast along its own mode's axis, multiply into one table over the
-    measured modes, whose square root scales the factor.  Returns the normalized
-    conditional state on the unmeasured modes and the outcome probability.  A
+    measured modes, whose square root scales the factor.  Returns the
+    normalized conditional state on the unmeasured modes (a DensityOperator:
+    the state leaves the engine here) and the outcome probability.  A
     (numerically) impossible outcome raises ImpossibleOutcomeError instead of
     producing a NaN state.
     """
-    if isinstance(rho, DensityOperator):
-        rho = FactoredState.from_state(rho)
     reg = rho.register
     seen = set()
     w_full = 1.0
@@ -421,27 +421,24 @@ def postselect(rho, events) -> tuple[DensityOperator, float]:
     return partial_trace(weighted, keep).normalized(), min(probability, 1.0)
 
 
-def apply_bs_channel(rho, modes: tuple[str, str], spec: BeamSplitterSpec):
-    """Send two modes of a register state through a (possibly lossy) beam
-    splitter, tracing the environment immediately.
+def apply_bs_channel(rho: FactoredState, modes: tuple[str, str], spec: BeamSplitterSpec) -> FactoredState:
+    """Send two modes of a factor through a (possibly lossy) beam splitter,
+    tracing the environment immediately; returns a factor.
 
-    ``rho`` is a FactoredState, or a DensityOperator (factored on entry and
-    returned dense).  Lossless specs apply the exact block unitary.  Lossy
-    specs use the SVD S = W diag(s) X^dag: a passive unitary, single-mode
-    attenuators of transmissivity s_i^2, and a second passive unitary; with a
-    vacuum environment this is the explicit dilation's channel (it only
-    depends on S).  Blocks and loss tables come from ``spec.store``, which
-    later calls with the same spec extend instead of rebuilding.
+    Lossless specs apply the exact block unitary.  Lossy specs use the SVD
+    S = W diag(s) X^dag: a passive unitary, single-mode attenuators of
+    transmissivity s_i^2, and a second passive unitary; with a vacuum
+    environment this is the explicit dilation's channel (it only depends on
+    S).  Blocks and loss tables come from ``spec.store``, which later calls
+    with the same spec extend instead of rebuilding.
     """
-    dense = isinstance(rho, DensityOperator)
-    state = FactoredState.from_state(rho) if dense else rho
     store = spec.store
-    state = _passive(state, store.factors[0], modes, store.ladders[0])
+    state = _passive(rho, store.factors[0], modes, store.ladders[0])
     if not spec.is_lossless:
         for label, tau in zip(modes, store.taus):
             state = _attenuate(state, label, tau, store)
         state = _passive(state, store.factors[1], modes, store.ladders[1])
-    return state.to_density() if dense else state
+    return state
 
 
 def _passive(state: FactoredState, v: np.ndarray, modes: tuple[str, str], ladder=None) -> FactoredState:

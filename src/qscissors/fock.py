@@ -10,6 +10,12 @@ Basis index of an occupation tuple is therefore
 All state objects are immutable in intent: operations return new objects and
 never mutate their inputs, so values can be shared freely across sweep workers.
 
+Inside the engine every mixed state is a low-rank factor (``FactoredState``):
+a state enters through ``FactoredState.from_state`` and leaves as a
+``DensityOperator`` through ``partial_trace`` or ``FactoredState.to_density``.
+``tensor`` and ``partial_trace`` take factors only (``tensor`` also composes
+pure vectors); the dense form is never an input to them.
+
 A coherent drive is held by its amplitude alone: the scissors stage takes it
 in the displaced frame, so no drive cutoff or Poisson tail enters a run.
 """
@@ -344,42 +350,28 @@ def basis_ket(register: ModeRegister, occupation: tuple[int, ...]) -> FockVector
 
 
 def tensor(x, y):
-    """Kronecker composition of two states of the same kind, in basis order
-    (for factors, every pair of columns)."""
+    """Kronecker composition, in basis order, of two FockVectors or of two
+    FactoredStates (every pair of columns); dense matrices are not taken."""
     reg = x.register.merged(y.register)
     if isinstance(x, FockVector) and isinstance(y, FockVector):
         return FockVector(reg, np.kron(x.amplitudes, y.amplitudes))
     if isinstance(x, FactoredState) and isinstance(y, FactoredState):
         amps = x.amplitudes[:, None, :, None] * y.amplitudes[None, :, None, :]  # np.kron by broadcasting
         return FactoredState(reg, amps.reshape(reg.dim, -1), x.compression_error + y.compression_error)
-    if isinstance(x, DensityOperator) and isinstance(y, DensityOperator):
-        return DensityOperator(reg, np.kron(x.matrix, y.matrix), check=False)
-    raise TypeError("tensor requires two states of the same kind")
+    raise TypeError("tensor requires two FockVectors or two FactoredStates")
 
 
-def partial_trace(rho, keep) -> DensityOperator:
-    """Trace out all modes not in ``keep``; preserves trace and Hermiticity.
-    A FactoredState's factor, kept modes first, is a matrix M: rho = M M^dag."""
+def partial_trace(rho: FactoredState, keep) -> DensityOperator:
+    """Trace a factor over every mode not in ``keep``.  The reduced state, its
+    modes in the order of ``keep``, leaves the engine here as a DensityOperator:
+    with the kept modes first the factor is a matrix M, and rho = M M^dag."""
     keep = [keep] if isinstance(keep, str) else list(keep)
     reg = rho.register
     keep_pos = [reg.position(l) for l in keep]
-    n = reg.n_modes
-    dims = reg.dims
     sub = reg.subregister(keep)
-    if isinstance(rho, FactoredState):
-        order = keep_pos + [i for i in range(n + 1) if i not in keep_pos]
-        m = rho.amplitudes.reshape(dims + (rho.rank,)).transpose(order).reshape(sub.dim, -1)
-        return DensityOperator(sub, m @ m.conj().T, check=False)
-    tensor_form = rho.matrix.reshape(dims + dims)
-    row_axes = list(range(n))
-    col_axes = [n + i for i in range(n)]
-    # traced modes share an index between row and column sides
-    for i in range(n):
-        if i not in keep_pos:
-            col_axes[i] = row_axes[i]
-    out_subscripts = [row_axes[i] for i in keep_pos] + [col_axes[i] for i in keep_pos]
-    reduced = np.einsum(tensor_form, row_axes + col_axes, out_subscripts)
-    return DensityOperator(sub, reduced.reshape(sub.dim, sub.dim), check=False)
+    order = keep_pos + [i for i in range(reg.n_modes + 1) if i not in keep_pos]
+    m = rho.amplitudes.reshape(reg.dims + (rho.rank,)).transpose(order).reshape(sub.dim, -1)
+    return DensityOperator(sub, m @ m.conj().T, check=False)
 
 
 def fidelity(rho: DensityOperator, target: FockVector) -> float:

@@ -257,12 +257,17 @@ def apply_lossy_bs(rho, dims, pair, t, r):
     return u_out @ rho @ u_out.conj().T
 
 
-def trace_keep_first(rho, dims):
-    """Partial trace keeping only the first mode."""
-    d0 = dims[0]
-    rest = int(np.prod(dims[1:]))
-    t = rho.reshape(d0, rest, d0, rest)
-    return np.einsum("irjr->ij", t)
+def trace_keep(rho, dims, keep=(0,)):
+    """Partial trace of a dense matrix over modes of sizes ``dims``, keeping the
+    modes at positions ``keep`` in that order: a traced mode shares one einsum
+    index between the row and the column side."""
+    n = len(dims)
+    rows, cols = list(range(n)), list(range(n, 2 * n))
+    for i in set(range(n)) - set(keep):
+        cols[i] = rows[i]
+    d = math.prod(dims[i] for i in keep)
+    out = np.einsum(rho.reshape(tuple(dims) * 2), rows + cols, [rows[i] for i in keep] + [cols[i] for i in keep])
+    return out.reshape(d, d)
 
 
 def reference_scissors(eta, gamma_bs, drive_gamma, n_drive, clicks=(1, 0), spec=None):
@@ -292,7 +297,7 @@ def reference_scissors(eta, gamma_bs, drive_gamma, n_drive, clicks=(1, 0), spec=
     prob = float(np.sum(w * np.diag(rho).real))
     sw = np.sqrt(w)
     weighted = rho * np.outer(sw, sw)
-    rho_c = trace_keep_first(weighted, dims) / prob
+    rho_c = trace_keep(weighted, dims) / prob
 
     g0 = math.exp(-abs(drive_gamma) ** 2 / 2)
     g1 = g0 * drive_gamma

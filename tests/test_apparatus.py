@@ -274,6 +274,13 @@ def test_teleport_density_input_requires_target():
         run_teleport(TeleportConfig(input_state=rho))
 
 
+def test_teleport_density_input_on_another_mode_is_refused():
+    rho = QubitAmplitudes(0.6, 0.8).as_vector("a").to_density()
+    target = QubitAmplitudes(0.6, 0.8).as_vector("a")
+    with pytest.raises(ValueError, match=r"^teleport input must be on mode 'c', got 'a'$"):
+        run_teleport(TeleportConfig(input_state=rho, target=target))
+
+
 def test_teleport_missing_input_rejected():
     with pytest.raises(ValueError, match="input_state"):
         run_teleport(TeleportConfig())
@@ -382,7 +389,7 @@ def test_large_drives_stay_exact_low_rank_and_fast():
 
 
 def test_click_ceiling_admits_201_and_refuses_larger_counts():
-    # the clicked register grows as (k_d + 1)(k_e + 1): the ceiling bounds it whatever the drive
+    # the ceiling is a fixed bound of the config surface, whatever the drive
     assert MAX_CLICKS == 201
     cfg = lossy_cfg(0.7, 0.1, 20.0, clicks=(MAX_CLICKS, MAX_CLICKS))
     tracemalloc.start()
@@ -404,6 +411,21 @@ def test_click_ceiling_admits_201_and_refuses_larger_counts():
         finally:
             tracemalloc.stop()
         assert peak < 1e5
+
+
+def test_clicked_row_costs_the_same_at_every_click_count():
+    # the clicked row sits at occupation (0, 0) of a cutoff-1 (d, e) register, so the
+    # ceiling costs what one click costs; 2.3003636559792787e-20 is the probability a
+    # zero-padded register of (k_d + 1)(k_e + 1) rows gave
+    cfg = lossy_cfg(0.7, 0.1, 20.0, clicks=(MAX_CLICKS, MAX_CLICKS))
+    tracemalloc.start()
+    try:
+        res = run_scissors(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6, f"{peak / 1e6:.1f} MB at clicks ({MAX_CLICKS}, {MAX_CLICKS})"
+    assert res.probability == pytest.approx(2.3003636559792787e-20, rel=1e-12)
 
 
 @pytest.mark.parametrize("drive", [12.0, 25.0, 100.0, 1e3, 1e150])

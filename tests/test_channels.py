@@ -646,7 +646,7 @@ def test_fast_channel_matches_explicit_kraus():
         chan = lossy_bs_kraus(spec, cutoff=3)
         rho = random_retained_state(reg, seed=100 + i, block_max=3)
         via_kraus = chan.apply(rho, ("x", "y"))
-        via_fast = apply_bs_channel(rho, ("x", "y"), spec)
+        via_fast = apply_bs_channel(FactoredState.from_state(rho), ("x", "y"), spec).to_density()
         assert np.max(np.abs(via_kraus.matrix - via_fast.matrix)) < 1e-12
 
 
@@ -656,7 +656,7 @@ def test_fast_channel_with_spectator_mode():
     chan = lossy_bs_kraus(spec, cutoff=2)
     rho = random_retained_state(reg, seed=8, block_max=2)
     via_kraus = chan.apply(rho, ("x", "y"))
-    via_fast = apply_bs_channel(rho, ("x", "y"), spec)
+    via_fast = apply_bs_channel(FactoredState.from_state(rho), ("x", "y"), spec).to_density()
     assert np.max(np.abs(via_kraus.matrix - via_fast.matrix)) < 1e-12
     assert abs(via_fast.trace() - 1.0) < 1e-10
 
@@ -697,7 +697,7 @@ def test_povm_rejects_clicks_beyond_cutoff():
 
 def test_postselect_certain_outcome_empty_remainder():
     reg = ModeRegister(("b", "c"), (1, 1))
-    rho = basis_ket(reg, (1, 0)).to_density()
+    rho = FactoredState.from_state(basis_ket(reg, (1, 0)))
     det = DetectorSpec(1.0)
     state, prob = postselect(rho, [("b", det, 1), ("c", det, 0)])
     assert prob == pytest.approx(1.0, abs=1e-14)
@@ -719,7 +719,7 @@ def test_postselect_ideal_teleport_joint_state():
     u = ideal_bs_unitary(BeamSplitterSpec.ideal_5050(), reg, ("b", "c"))
     rotated = DensityOperator(reg, u @ joint.matrix @ u.conj().T)
     det = DetectorSpec(1.0)
-    state, prob = postselect(rotated, [("b", det, 1), ("c", det, 0)])
+    state, prob = postselect(FactoredState.from_state(rotated), [("b", det, 1), ("c", det, 0)])
     assert prob == pytest.approx(0.25, abs=1e-12)
     expected = np.array([c0, c1])
     assert np.max(np.abs(state.matrix - np.outer(expected, expected))) < 1e-12
@@ -727,7 +727,7 @@ def test_postselect_ideal_teleport_joint_state():
 
 def test_postselect_impossible_outcome_raises():
     reg = ModeRegister(("b", "c"), (1, 1))
-    rho = basis_ket(reg, (0, 1)).to_density()
+    rho = FactoredState.from_state(basis_ket(reg, (0, 1)))
     det = DetectorSpec(1.0)
     with pytest.raises(ImpossibleOutcomeError):
         postselect(rho, [("b", det, 1), ("c", det, 0)])
@@ -735,7 +735,7 @@ def test_postselect_impossible_outcome_raises():
 
 def test_postselect_rejects_duplicate_modes():
     reg = ModeRegister(("b", "c"), (1, 1))
-    rho = basis_ket(reg, (0, 0)).to_density()
+    rho = FactoredState.from_state(basis_ket(reg, (0, 0)))
     det = DetectorSpec(1.0)
     with pytest.raises(ValueError, match="duplicate"):
         postselect(rho, [("b", det, 0), ("b", det, 0)])
@@ -754,7 +754,7 @@ def bs_ancilla_click_probability(state_vec, eta, clicks, cutoff):
     u = ideal_bs_unitary(spec, reg, ("s", "anc"))
     rho = DensityOperator(reg, u @ joint.to_density().matrix @ u.conj().T)
     try:
-        _, prob = postselect(rho, [("s", DetectorSpec(1.0), clicks)])
+        _, prob = postselect(FactoredState.from_state(rho), [("s", DetectorSpec(1.0), clicks)])
     except ImpossibleOutcomeError:
         prob = 0.0
     return prob
@@ -785,7 +785,7 @@ def test_lossy_bs_then_detectors_reproduces_combined_damping():
         for gamma in (0.0, 0.02, 0.3):
             spec = BeamSplitterSpec.lossy_5050(gamma)
             reg = ModeRegister(("x", "y"), (1, 1))
-            rho = apply_bs_channel(basis_ket(reg, (1, 0)).to_density(), ("x", "y"), spec)
+            rho = apply_bs_channel(FactoredState.from_state(basis_ket(reg, (1, 0))), ("x", "y"), spec)
             det = DetectorSpec(eta)
             try:
                 _, p_none = postselect(rho, [("x", det, 0), ("y", det, 0)])

@@ -509,10 +509,10 @@ def test_cmd_pipeline_tiny_drive_runs_with_cutoff_one(capsys):
     assert float(row["truncation_error"]) == 0.0
 
 
-def _gate():
-    """perfbench/gate.py run as a fresh module, so nothing is written next to it."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gate.py"
-    module = types.ModuleType("perfbench_gate")
+def _perfbench(name):
+    """perfbench/<name>.py run as a fresh module, so nothing is written next to it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
     module.__file__ = str(path)
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
@@ -530,7 +530,24 @@ def test_drives_the_stage_computes_run_and_pass_the_gate(flags, tmp_path, capsys
     (row,) = json.loads((tmp_path / "point.json").read_text())["rows"]
     assert row["run_error"] == ""
     assert row["truncation_error"] == 0.0
-    assert _gate().identity_errors(row, closed_form_scissors_fidelity) == []
+    assert _perfbench("gate").identity_errors(row, closed_form_scissors_fidelity) == []
+
+
+def test_points_small_rows_pass_the_benchmark_gate_against_its_golden_rows(tmp_path):
+    # the workload that builds a fresh spec for every point, run and checked as the benchmark does
+    gate, workloads = _perfbench("gate"), _perfbench("workloads")
+    inputs = workloads.make_inputs("points_small", 0)
+    golden = gate.load_golden("points_small", inputs)
+    assert golden is not None and len(golden) == len(inputs)
+    code, report = workloads.run_body(cli, "points_small", inputs, str(tmp_path / "points"))
+    assert code == 0
+    rows = json.loads(Path(report).read_text(encoding="utf-8"))["rows"]
+    failures = {
+        i: errors
+        for i, (row, want) in enumerate(zip(rows, golden, strict=True))
+        if (errors := gate.row_failures(row, ReportRow, closed_form_scissors_fidelity, want))
+    }
+    assert not failures
 
 
 def test_drive_past_the_clicks_reach_reports_the_impossible_outcome(tmp_path, capsys):

@@ -10,6 +10,7 @@ from qscissors.analytic import NoiseParams
 from qscissors.fock import (
     CoherentDrive,
     DensityOperator,
+    FactoredState,
     FockVector,
     ModeRegister,
     basis_ket,
@@ -19,6 +20,8 @@ from qscissors.fock import (
     partial_trace,
     tensor,
 )
+
+from .reference import trace_keep
 
 
 def test_register_rejects_duplicate_labels():
@@ -156,7 +159,7 @@ def test_tensor_partial_trace_roundtrip_vacuum_ancilla():
     amps = np.array([0.5, 0.5j, -0.5, 0.5])
     rho = FockVector(reg, amps).to_density()
     anc = basis_ket(ModeRegister(("z",), (2,)), (0,)).to_density()
-    back = partial_trace(tensor(rho, anc), ("x", "y"))
+    back = partial_trace(tensor(FactoredState.from_state(rho), FactoredState.from_state(anc)), ("x", "y"))
     assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-14
 
 
@@ -164,7 +167,7 @@ def test_partial_trace_product_state():
     rho_a = basis_ket(ModeRegister(("a",), (1,)), (1,)).to_density()
     amps = np.array([1, 1j]) / math.sqrt(2)
     rho_b = FockVector(ModeRegister(("b",), (1,)), amps).to_density()
-    joint = tensor(rho_a, rho_b)
+    joint = tensor(FactoredState.from_state(rho_a), FactoredState.from_state(rho_b))
     out = partial_trace(joint, ("a",))
     assert np.max(np.abs(out.matrix - rho_a.matrix)) < 1e-14
     assert out.trace() == pytest.approx(1.0, abs=1e-12)
@@ -176,7 +179,7 @@ def test_partial_trace_bell_state_is_maximally_mixed():
     amps[reg.index((0, 1))] = 1 / math.sqrt(2)
     amps[reg.index((1, 0))] = -1j / math.sqrt(2)
     rho = FockVector(reg, amps).to_density()
-    reduced = partial_trace(rho, ("b",))
+    reduced = partial_trace(FactoredState.from_state(rho), ("b",))
     assert np.max(np.abs(reduced.matrix - np.eye(2) / 2)) < 1e-14
 
 
@@ -184,14 +187,26 @@ def test_partial_trace_keep_all_is_identity():
     reg = ModeRegister(("a", "b"), (1, 1))
     amps = np.array([0.5, 0.5, 0.5, 0.5])
     rho = FockVector(reg, amps).to_density()
-    same = partial_trace(rho, ("a", "b"))
+    same = partial_trace(FactoredState.from_state(rho), ("a", "b"))
     assert np.max(np.abs(same.matrix - rho.matrix)) < 1e-15
 
 
 def test_partial_trace_unknown_label():
     rho = basis_ket(ModeRegister(("a",), (1,)), (0,)).to_density()
     with pytest.raises(KeyError):
-        partial_trace(rho, ("q",))
+        partial_trace(FactoredState.from_state(rho), ("q",))
+
+
+def test_partial_trace_keeps_non_adjacent_modes_in_the_order_asked():
+    rng = np.random.default_rng(3)
+    reg = ModeRegister(("a", "b", "c"), (1, 2, 1))
+    psi = rng.normal(size=(reg.dim, 3)) + 1j * rng.normal(size=(reg.dim, 3))
+    psi /= np.linalg.norm(psi)
+    out = partial_trace(FactoredState(reg, psi), ("c", "a"))
+    assert out.register.labels == ("c", "a")
+    assert out.register.cutoffs == (1, 1)
+    expected = trace_keep(psi @ psi.conj().T, reg.dims, (2, 0))
+    assert np.max(np.abs(out.matrix - expected)) < 1e-14
 
 
 def test_partial_trace_preserves_trace_and_hermiticity():
@@ -201,7 +216,7 @@ def test_partial_trace_preserves_trace_and_hermiticity():
     mat = mat @ mat.conj().T
     mat /= np.trace(mat).real
     rho = DensityOperator(reg, mat)
-    out = partial_trace(rho, ("b",))
+    out = partial_trace(FactoredState.from_state(rho), ("b",))
     assert abs(out.trace() - rho.trace()) < 1e-12
     assert out.hermiticity_defect() < 1e-12
 
