@@ -29,9 +29,7 @@ from .channels import (
     ImpossibleOutcomeError,
     apply_bs_channel,
     detector_povm,
-    ideal_bs_unitary,
     postselect,
-    two_mode_unitary_matrix,
 )
 from .fock import (
     CoherentDrive,
@@ -74,7 +72,6 @@ __all__ = [
     "detector_povm",
     "fidelity",
     "full_pipeline",
-    "ideal_bs_unitary",
     "pad_cutoffs",
     "partial_trace",
     "postselect",
@@ -85,5 +82,4 @@ __all__ = [
     "tensor",
     "truncation_fidelity",
     "truncation_norm",
-    "two_mode_unitary_matrix",
 ]

@@ -28,7 +28,6 @@ from .channels import (
     BeamSplitterSpec,
     DetectorSpec,
     apply_bs_channel,
-    ideal_bs_unitary,
     postselect,
 )
 from .fock import (
@@ -66,7 +65,7 @@ class QubitAmplitudes:
     @classmethod
     def from_drive(cls, drive: CoherentDrive) -> "QubitAmplitudes":
         """The drive's renormalized vacuum and one-photon amplitudes: the scissors target."""
-        norm = math.hypot(1.0, abs(drive.gamma))  # (amp0, amp1) = exp(-|gamma|^2 / 2) (1, gamma)
+        norm = math.hypot(1.0, abs(drive.gamma))  # amplitudes 0 and 1: exp(-|gamma|^2 / 2) (1, gamma)
         return cls(1.0 / norm, drive.gamma / norm)
 
     def as_vector(self, label: str = "c", cutoff: int = 1) -> FockVector:
@@ -121,12 +120,10 @@ class RunResult:
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
 
 
-def bell_states(register: ModeRegister | None = None) -> dict[str, FockVector]:
-    """The four maximally entangled zero/one-photon states on modes (b, c):
+def bell_states() -> dict[str, FockVector]:
+    """The four maximally entangled zero/one-photon states on modes (b, c), cutoffs (1, 1):
     psi_pm = (|01> pm i|10>)/sqrt(2), phi_pm = (|00> pm i|11>)/sqrt(2)."""
-    reg = register if register is not None else ModeRegister(("b", "c"), (1, 1))
-    if reg.n_modes != 2:
-        raise ValueError("Bell states need a two-mode register")
+    reg = ModeRegister(("b", "c"), (1, 1))
     s = 1 / math.sqrt(2)
 
     def vec(pairs):
@@ -144,26 +141,27 @@ def bell_states(register: ModeRegister | None = None) -> dict[str, FockVector]:
 
 
 def bs_action_on_bell(spec: BeamSplitterSpec) -> dict[str, FockVector]:
-    """Images of the four Bell states under the balanced lossless splitter,
-    on a cutoff-2 register so the two-photon components are retained."""
+    """Images of the four Bell states under the balanced lossless splitter, each
+    sent through ``apply_bs_channel`` on a cutoff-2 register so the two-photon
+    components are retained (no Bell state holds more than 2 photons)."""
     if not spec.is_lossless:
         raise ValueError("Bell-state mapping is defined for the lossless element")
     if abs(abs(spec.t) - abs(spec.r)) > 1e-12:
         raise ValueError("Bell-state mapping needs a balanced (|t| = |r|) element")
-    reg = ModeRegister(("b", "c"), (2, 2))
-    u = ideal_bs_unitary(spec, reg, ("b", "c"))
     out = {}
     for label, state in bell_states().items():
-        padded = pad_cutoffs(state, {"b": 2, "c": 2})
-        out[label] = FockVector(reg, u @ padded.amplitudes)
+        rho = pad_cutoffs(FactoredState.from_state(state), {"b": 2, "c": 2})
+        image = apply_bs_channel(rho, ("b", "c"), spec)
+        out[label] = FockVector(image.register, image.amplitudes[:, 0])
     return out
 
 
-def bell_click_assignment(spec: BeamSplitterSpec | None = None) -> dict[str, tuple[int, int] | None]:
-    """Which detector click pattern on (b, c) each Bell state is mapped to,
-    resolved numerically; None for states spread over several patterns."""
-    spec = spec if spec is not None else BeamSplitterSpec.ideal_5050()
-    images = bs_action_on_bell(spec)
+def bell_click_assignment(images: dict[str, FockVector] | None = None) -> dict[str, tuple[int, int] | None]:
+    """Which detector click pattern on (b, c) each Bell image (``bs_action_on_bell``'s,
+    through the ideal 50/50 when None) is mapped to; None for an image spread over
+    several patterns."""
+    if images is None:
+        images = bs_action_on_bell(BeamSplitterSpec.ideal_5050())
     assignment = {}
     for label, img in images.items():
         nz = [

@@ -125,11 +125,6 @@ class BeamSplitterSpec:
         return SplitterStore(self)
 
     @property
-    def noise_covariance(self) -> np.ndarray:
-        s = self.scattering_matrix
-        return np.eye(2) - s @ s.conj().T
-
-    @property
     def is_lossless(self) -> bool:
         return self.gamma <= LOSSLESS_TOL
 
@@ -208,11 +203,6 @@ class PairOperator:
                 np.matmul(block, x[:, s], out=y[:, s])
         return y
 
-    def toarray(self) -> np.ndarray:
-        """Dense (d1 * d2) x (d1 * d2) matrix."""
-        dim = math.prod(self.dims)
-        return self.apply(np.eye(dim)[None])[0]
-
 
 @dataclass(frozen=True)
 class LiftedPairOperator:
@@ -235,17 +225,6 @@ class LiftedPairOperator:
         moved = psi.reshape(self.register.dims + (-1,)).transpose(self.order)
         out = self.op.apply(moved.reshape(-1, math.prod(self.op.dims), moved.shape[-1]))
         return out.reshape(moved.shape).transpose(self.inverse).reshape(psi.shape)
-
-
-def two_mode_unitary_matrix(matrix_2x2: np.ndarray, cutoff1: int, cutoff2: int) -> np.ndarray:
-    """Fock representation of a passive transformation with 2x2 matrix V.
-
-    Heisenberg convention: output operators are V times input operators, so a
-    creation operator on input mode i maps to sum_j V[j, i] a_j^dag.  The
-    result conserves total photon number and is exact (the n-photon representation
-    of V) on every block with total photons n <= min(cutoff1, cutoff2); V must be unitary.
-    """
-    return _blockwise_passive(matrix_2x2, cutoff1, cutoff2).toarray()
 
 
 def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | None = None, ladder=None) -> PairOperator:
@@ -352,16 +331,6 @@ def _truncated_blocks(v, dims: tuple[int, int], low: int, top: int, step: int) -
             batches.append((slices, blocks * phases[:size, :size]))
         start = stop
     return batches
-
-
-def ideal_bs_unitary(spec: BeamSplitterSpec, register: ModeRegister, modes: tuple[str, str]) -> np.ndarray:
-    """Full-register unitary of a lossless beam splitter on two modes."""
-    if not spec.is_lossless:
-        raise ValueError(f"spec has Gamma={spec.gamma:.3e} > 0; only lossless elements have a unitary")
-    c1 = register.cutoffs[register.position(modes[0])]
-    c2 = register.cutoffs[register.position(modes[1])]
-    op = _blockwise_passive(spec.scattering_matrix, c1, c2)
-    return lift_pair_operator(op, register, modes) @ np.eye(register.dim)
 
 
 def detector_povm(det: DetectorSpec, clicks: int, cutoff: int) -> np.ndarray:

@@ -4,7 +4,8 @@ to the closed-form oracles.
 
 Every outside input is checked in one pass: command-line flags override the
 same key of the ``--config`` object (for ``sweep``, they replace that axis;
-``--ratio`` becomes the drive) and ``parse_config`` checks the result.
+``--ratio`` becomes the drive) and ``parse_config`` checks the result; a key
+the command does not read (``COMMAND_KEYS``) is refused, not ignored.
 
 Exit codes: 0 success, 1 invariant violation or impossible outcome, 2 config
 error; a failure prints one line to stderr.
@@ -53,6 +54,14 @@ CONFIG_KEYS = {
     "drive": ("gamma",),
     "input": ("c0", "c1"),
     "sweep": tuple(DEFAULT_SWEEP),
+}
+
+# the root keys each command reads; ``main`` refuses any other, so no input is silently ignored
+COMMAND_KEYS = {
+    "scissors": ("eta", "gamma_bs", "drive", "clicks", "out"),
+    "teleport": ("eta", "gamma_bs", "drive", "clicks", "input", "out"),
+    "pipeline": ("eta", "gamma_bs", "drive", "out"),
+    "sweep": ("sweep", "out"),
 }
 
 FLOAT_FORMAT = ".12g"
@@ -471,9 +480,8 @@ def _cmd_sweep(grid: SweepGrid, out: str | None) -> int:
 
 
 def _cmd_bell_check() -> int:
-    spec = BeamSplitterSpec.ideal_5050()
-    images = bs_action_on_bell(spec)
-    assignment = bell_click_assignment(spec)
+    images = bs_action_on_bell(BeamSplitterSpec.ideal_5050())
+    assignment = bell_click_assignment(images)
     print("Bell state mapping through the balanced splitter (t=1/sqrt2, r=i/sqrt2):")
     print(f"{'state':<10} {'click pattern':<14} {'norm':<16} image components")
     violation = False
@@ -536,7 +544,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.command == "bell-check":
             return _cmd_bell_check()
-        cfg = parse_config(_merge_flags(_load_config(args.config) if args.config else {}, args))
+        merged = _merge_flags(_load_config(args.config) if args.config else {}, args)
+        cfg = parse_config(merged)
+        for key in merged:
+            if key not in COMMAND_KEYS[args.command]:
+                raise ConfigError(f"{args.command} does not read {key!r}")
         if args.command == "sweep":
             return _cmd_sweep(cfg["sweep"], cfg["out"])
         settings = settings_from_config(cfg)

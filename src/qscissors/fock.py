@@ -13,8 +13,8 @@ never mutate their inputs, so values can be shared freely across sweep workers.
 Inside the engine every mixed state is a low-rank factor (``FactoredState``):
 a state enters through ``FactoredState.from_state`` and leaves as a
 ``DensityOperator`` through ``partial_trace`` or ``FactoredState.to_density``.
-``tensor`` and ``partial_trace`` take factors only (``tensor`` also composes
-pure vectors); the dense form is never an input to them.
+``tensor``, ``pad_cutoffs`` and ``partial_trace`` take factors only; neither
+a pure vector nor the dense form is an input to them.
 
 A coherent drive is held by its amplitude alone: the scissors stage takes it
 in the displaced frame, so no drive cutoff or Poisson tail enters a run.
@@ -90,10 +90,6 @@ class ModeRegister:
             return np.zeros((1, 0), dtype=int)
         return np.indices(self.dims).reshape(self.n_modes, -1).T
 
-    def total_photons(self) -> np.ndarray:
-        """Total photon number of each basis state, shape (dim,)."""
-        return self.occupations().sum(axis=1)
-
     def subregister(self, labels) -> "ModeRegister":
         labels = tuple(labels)
         return ModeRegister(labels, tuple(self.cutoffs[self.position(l)] for l in labels))
@@ -143,22 +139,12 @@ class FockVector:
     def to_density(self) -> "DensityOperator":
         return DensityOperator(self.register, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def overlap(self, other: "FockVector") -> complex:
-        _require_same_register(self.register, other.register)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def to_json_dict(self) -> dict:
         return {
             "register": {"labels": list(self.register.labels), "cutoffs": list(self.register.cutoffs)},
             "basis_order": BASIS_ORDER_NOTE,
             "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FockVector":
-        reg = ModeRegister(tuple(data["register"]["labels"]), tuple(data["register"]["cutoffs"]))
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return cls(reg, amps)
 
     def __repr__(self):
         return f"FockVector(modes={self.register.labels}, norm^2={self.norm_sq():.6g})"
@@ -216,16 +202,6 @@ class DensityOperator:
             raise ValueError("cannot normalize, trace is not positive")
         return DensityOperator(self.register, self.matrix / tr, check=False)
 
-    def population(self, occupation: tuple[int, ...]) -> float:
-        i = self.register.index(occupation)
-        return float(self.matrix[i, i].real)
-
-    def mode_population_above(self, label: str, n: int) -> float:
-        """Total probability of finding more than n photons in one mode."""
-        occ = self.register.occupations()[:, self.register.position(label)]
-        diag = np.diag(self.matrix).real
-        return float(diag[occ > n].sum())
-
     def to_json_dict(self) -> dict:
         flat = self.matrix.reshape(-1)
         return {
@@ -233,12 +209,6 @@ class DensityOperator:
             "basis_order": BASIS_ORDER_NOTE,
             "matrix": [[float(a.real), float(a.imag)] for a in flat],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DensityOperator":
-        reg = ModeRegister(tuple(data["register"]["labels"]), tuple(data["register"]["cutoffs"]))
-        flat = np.array([complex(re, im) for re, im in data["matrix"]])
-        return cls(reg, flat.reshape(reg.dim, reg.dim))
 
     def __repr__(self):
         return f"DensityOperator(modes={self.register.labels}, trace={self.trace():.6g})"
@@ -316,18 +286,8 @@ class CoherentDrive:
         return math.exp(logmag) * cmath.exp(1j * n * cmath.phase(g))
 
     @property
-    def amp0(self) -> complex:
-        """Vacuum amplitude."""
-        return self.amplitude(0)
-
-    @property
-    def amp1(self) -> complex:
-        """One-photon amplitude."""
-        return self.amplitude(1)
-
-    @property
     def ratio(self) -> float:
-        """Vacuum-to-one-photon weight ratio (|amp0| / |amp1|)^2 = 1 / |gamma|^2, in the
+        """Vacuum-to-one-photon weight ratio |amplitude(0) / amplitude(1)|^2 = 1 / |gamma|^2, in the
         closed form that stays finite where both amplitudes underflow."""
         lam = abs(self.gamma) ** 2
         return 1.0 / lam if lam else math.inf
@@ -349,16 +309,11 @@ def basis_ket(register: ModeRegister, occupation: tuple[int, ...]) -> FockVector
     return FockVector(register, amps)
 
 
-def tensor(x, y):
-    """Kronecker composition, in basis order, of two FockVectors or of two
-    FactoredStates (every pair of columns); dense matrices are not taken."""
+def tensor(x: FactoredState, y: FactoredState) -> FactoredState:
+    """Kronecker composition of two factors, in basis order: every pair of columns."""
     reg = x.register.merged(y.register)
-    if isinstance(x, FockVector) and isinstance(y, FockVector):
-        return FockVector(reg, np.kron(x.amplitudes, y.amplitudes))
-    if isinstance(x, FactoredState) and isinstance(y, FactoredState):
-        amps = x.amplitudes[:, None, :, None] * y.amplitudes[None, :, None, :]  # np.kron by broadcasting
-        return FactoredState(reg, amps.reshape(reg.dim, -1), x.compression_error + y.compression_error)
-    raise TypeError("tensor requires two FockVectors or two FactoredStates")
+    amps = x.amplitudes[:, None, :, None] * y.amplitudes[None, :, None, :]  # np.kron by broadcasting
+    return FactoredState(reg, amps.reshape(reg.dim, -1), x.compression_error + y.compression_error)
 
 
 def partial_trace(rho: FactoredState, keep) -> DensityOperator:
@@ -389,9 +344,8 @@ def fidelity(rho: DensityOperator, target: FockVector) -> float:
     return min(1.0, max(0.0, val))
 
 
-def pad_cutoffs(state, new_cutoffs: dict):
-    """Embed a FockVector or FactoredState into a register with enlarged
-    cutoffs (zero padding)."""
+def pad_cutoffs(state: FactoredState, new_cutoffs: dict) -> FactoredState:
+    """Embed a factor into a register with enlarged cutoffs (zero padding)."""
     reg = state.register
     cutoffs = tuple(max(c, int(new_cutoffs.get(l, c))) for l, c in zip(reg.labels, reg.cutoffs))
     for l, c_new in new_cutoffs.items():
@@ -400,11 +354,8 @@ def pad_cutoffs(state, new_cutoffs: dict):
     if cutoffs == reg.cutoffs:
         return state
     big = ModeRegister(reg.labels, cutoffs)
-    columns = state.amplitudes.shape[1:]
-    amps = np.zeros(big.dims + columns, dtype=complex)
-    amps[tuple(slice(0, d) for d in reg.dims)] = state.amplitudes.reshape(reg.dims + columns)
-    if isinstance(state, FockVector):
-        return FockVector(big, amps.reshape(-1))
+    amps = np.zeros(big.dims + (state.rank,), dtype=complex)
+    amps[tuple(slice(0, d) for d in reg.dims)] = state.amplitudes.reshape(reg.dims + (state.rank,))
     return FactoredState(big, amps.reshape(big.dim, -1), state.compression_error)
 
 

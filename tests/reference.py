@@ -10,7 +10,9 @@ tautology.  Only the package's containers (``BeamSplitterSpec``,
 ``DensityOperator``) and its PSD tolerance are reused.  The Bell-branch
 algebra of the ideal teleporter and the vacuum Wick moment, oracles that only
 the tests use, also live here; they build on the package's Fock vectors and
-Bell states.
+Bell states.  So do plain-numpy readers of the package's containers that only
+tests need: populations, overlaps, Kronecker products of pure vectors, the
+JSON loaders and a splitter's noise covariance.
 
 Imports stay absolute: the benchmark loads this file by path.  scipy is
 imported only inside the two functions that call ``expm``/``logm``, so loading
@@ -24,7 +26,58 @@ import numpy as np
 
 from qscissors.apparatus import QubitAmplitudes, bell_states
 from qscissors.channels import PSD_TOL, BeamSplitterSpec
-from qscissors.fock import DensityOperator, FockVector, ModeRegister, tensor
+from qscissors.fock import DensityOperator, FockVector, ModeRegister
+
+
+def total_photons(register: ModeRegister) -> np.ndarray:
+    """Total photon number of each basis state, shape (dim,)."""
+    return register.occupations().sum(axis=1)
+
+
+def overlap(x: FockVector, y: FockVector) -> complex:
+    """<x|y> of two vectors on the same register."""
+    if x.register != y.register:
+        raise ValueError(f"register mismatch: {x.register} vs {y.register}")
+    return complex(np.vdot(x.amplitudes, y.amplitudes))
+
+
+def kron(x: FockVector, y: FockVector) -> FockVector:
+    """x (x) y in the package's basis order, x's modes first."""
+    return FockVector(x.register.merged(y.register), np.kron(x.amplitudes, y.amplitudes))
+
+
+def population(rho: DensityOperator, occupation: tuple) -> float:
+    """<n|rho|n> of one occupation tuple."""
+    i = rho.register.index(occupation)
+    return float(rho.matrix[i, i].real)
+
+
+def mode_population_above(rho: DensityOperator, label: str, n: int) -> float:
+    """Total probability of finding more than n photons in one mode."""
+    occ = rho.register.occupations()[:, rho.register.position(label)]
+    return float(np.diag(rho.matrix).real[occ > n].sum())
+
+
+def _register_from_json(data: dict) -> ModeRegister:
+    return ModeRegister(tuple(data["register"]["labels"]), tuple(data["register"]["cutoffs"]))
+
+
+def vector_from_json_dict(data: dict) -> FockVector:
+    """Inverse of ``FockVector.to_json_dict``."""
+    return FockVector(_register_from_json(data), np.array([complex(re, im) for re, im in data["amplitudes"]]))
+
+
+def density_from_json_dict(data: dict) -> DensityOperator:
+    """Inverse of ``DensityOperator.to_json_dict``."""
+    reg = _register_from_json(data)
+    flat = np.array([complex(re, im) for re, im in data["matrix"]])
+    return DensityOperator(reg, flat.reshape(reg.dim, reg.dim))
+
+
+def noise_covariance(spec: BeamSplitterSpec) -> np.ndarray:
+    """N = I - S S^dag, the splitter's noise covariance."""
+    s = spec.scattering_matrix
+    return np.eye(2) - s @ s.conj().T
 
 
 def destroy(dim):
@@ -119,7 +172,7 @@ def dilate(spec: BeamSplitterSpec) -> np.ndarray:
     spec decouples the environment exactly.
     """
     s = spec.scattering_matrix
-    n = spec.noise_covariance
+    n = noise_covariance(spec)
     if np.max(np.abs(n)) <= PSD_TOL:
         return np.block([[s, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
     b = _psd_sqrt(n)
@@ -378,7 +431,7 @@ def bell_decompose(qubit: QubitAmplitudes) -> list[BellBranch]:
     qubit is resolved numerically from the package's fixed conventions (it is the
     psi_plus branch), not assumed.
     """
-    joint = tensor(ideal_channel(("a", "b")), qubit.as_vector("c"))
+    joint = kron(ideal_channel(("a", "b")), qubit.as_vector("c"))
     reg = joint.register
     a_reg = ModeRegister(("a",), (1,))
     branches = []
@@ -401,7 +454,7 @@ def reconstruct_joint(branches: list[BellBranch]) -> FockVector:
     bells = bell_states()
     total = None
     for branch in branches:
-        piece = tensor(branch.conditional, bells[branch.label])
+        piece = kron(branch.conditional, bells[branch.label])
         total = piece.amplitudes if total is None else total + piece.amplitudes
     return FockVector(ModeRegister(("a", "b", "c"), (1, 1, 1)), total)
 

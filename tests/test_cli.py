@@ -59,16 +59,30 @@ def test_loading_the_reference_closed_forms_and_a_point_load_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+# every numpy.linalg decomposition and solver (LAPACK behind each); a version without one skips its name
+LINALG_ROUTINES = (
+    "cholesky", "qr", "svd", "svdvals", "eig", "eigh", "eigvals", "eigvalsh",
+    "det", "slogdet", "solve", "lstsq", "inv", "pinv", "tensorsolve", "tensorinv", "matrix_rank", "cond",
+)
+
+
+def count_linalg_calls(monkeypatch) -> list:
+    """The names of the numpy.linalg routines called from now on, one entry per call."""
+    import numpy as np
+
+    calls = []
+    for name in LINALG_ROUTINES:
+        original = getattr(np.linalg, name, None)
+        if original is not None:
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    return calls
+
+
 def test_evaluate_point_lapack_budget(monkeypatch):
     # one point: 1 SVD for the shared lossy splitter spec, no LAPACK call for
     # the splitter blocks (a recurrence builds them), and one eigh per Gram
     # compression and teleport input factorization
-    import numpy as np
-
-    calls = []
-    for name in ("eigh", "svd", "eig", "inv"):
-        original = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    calls = count_linalg_calls(monkeypatch)
     evaluate_point(0.7, 0.1, 0.5)
     assert len(calls) <= 7, sorted(calls)
 
@@ -400,6 +414,26 @@ def test_cmd_bell_check_prints_resolved_assignment(capsys):
     assert "resolved assignment" in out
 
 
+BELL_CHECK_TEXT = """\
+Bell state mapping through the balanced splitter (t=1/sqrt2, r=i/sqrt2):
+state      click pattern  norm             image components
+psi_plus   (1,0)          1                (+0.0000+1.0000i)|10>
+psi_minus  (0,1)          1                (+1.0000+0.0000i)|01>
+phi_plus   mixed          1                (+0.7071+0.0000i)|00> + (-0.5000+0.0000i)|02> + (-0.5000+0.0000i)|20>
+phi_minus  mixed          1                (+0.7071+0.0000i)|00> + (+0.5000+0.0000i)|02> + (+0.5000+0.0000i)|20>
+resolved assignment: psi_plus <-> (1,0) click carries the unmodified input; \
+psi_minus <-> (0,1) click carries the phase-flipped input
+"""
+
+
+def test_bell_check_prints_the_mapping_table_and_makes_no_linalg_call(monkeypatch, capsys):
+    # the Bell images go through apply_bs_channel, whose recurrence blocks need no decomposition
+    calls = count_linalg_calls(monkeypatch)
+    assert main(["bell-check"]) == 0
+    assert capsys.readouterr().out == BELL_CHECK_TEXT
+    assert calls == []
+
+
 # (argv, exit code, pattern the single stderr line must start with); exit-0
 # rows print nothing to stderr
 BOUNDARY_TABLE = [
@@ -606,6 +640,31 @@ KEY_EXAMPLES = {
     "input": {"c0": 0.6, "c1": 0.8},
     "sweep": {"eta": [0.7], "gamma_bs": [0.1], "drive": [2.0]},
 }
+
+
+# the root keys each command reads; main refuses any other with one line and exit 2
+COMMAND_READS = {
+    "scissors": {"eta", "gamma_bs", "drive", "clicks", "out"},
+    "teleport": {"eta", "gamma_bs", "drive", "clicks", "out", "input"},
+    "pipeline": {"eta", "gamma_bs", "drive", "out"},
+    "sweep": {"sweep", "out"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(c, k) for c, reads in COMMAND_READS.items() for k in sorted(CONFIG_SURFACE[""] - reads)],
+)
+def test_config_keys_the_command_does_not_read_are_refused(command, key, capsys):
+    assert main([command, "--config", json.dumps({key: KEY_EXAMPLES[""][key]})]) == 2
+    assert capsys.readouterr().err == f"config error: {command} does not read '{key}'\n"
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_READS))
+def test_config_keys_the_command_reads_are_accepted(command, capsys):
+    config = {key: KEY_EXAMPLES[""][key] for key in COMMAND_READS[command]}
+    assert main([command, "--config", json.dumps(config)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _section(key, section):
