@@ -75,9 +75,6 @@ class QubitAmplitudes:
         amps[1] = self.c1
         return FockVector(reg, amps)
 
-    def phase_flipped(self) -> "QubitAmplitudes":
-        return QubitAmplitudes(self.c0, -self.c1)
-
 
 @dataclass(frozen=True)
 class ScissorsConfig:

@@ -2,10 +2,13 @@
 Bell-mapping table, with CSV/JSON reports that put the numerical results next
 to the closed-form oracles.
 
-Every outside input is checked in one pass: command-line flags override the
-same key of the ``--config`` object (for ``sweep``, they replace that axis;
-``--ratio`` becomes the drive) and ``parse_config`` checks the result; a key
-the command does not read (``COMMAND_KEYS``) is refused, not ignored.
+The config schema is one table, ``ROOT_KEYS``: each root key's default, parser
+and the commands that read it.  ``FLAGS`` gives the config path each flag
+writes.  ``CONFIG_KEYS``, ``COMMAND_KEYS`` and every command's flags derive
+from the two.  Every outside input is checked in one pass: a given flag
+overrides its path of the ``--config`` object (for ``sweep``, it replaces that
+grid axis; ``--ratio`` becomes the drive), ``parse_config`` checks the result,
+and a key the command does not read is refused, not ignored.
 
 Exit codes: 0 success, 1 invariant violation or impossible outcome, 2 config
 error; a failure prints one line to stderr.
@@ -40,7 +43,7 @@ from .apparatus import (
     run_teleport,
 )
 from .channels import BeamSplitterSpec, DetectorSpec, ImpossibleOutcomeError
-from .fock import CoherentDrive
+from .fock import HERMITICITY_TOL, NORM_SLACK, POSITIVITY_TOL, CoherentDrive
 
 DEFAULT_SWEEP = {
     "eta": [0.5, 0.7, 1.0],
@@ -48,39 +51,11 @@ DEFAULT_SWEEP = {
     "drive": [0.5, 1.0, 2.0],
 }
 
-# every key a config may hold, by section ("" is the root); parse_config refuses any other
-CONFIG_KEYS = {
-    "": ("eta", "gamma_bs", "drive", "input", "clicks", "sweep", "out"),
-    "drive": ("gamma",),
-    "input": ("c0", "c1"),
-    "sweep": tuple(DEFAULT_SWEEP),
-}
-
-# the root keys each command reads; ``main`` refuses any other, so no input is silently ignored
-COMMAND_KEYS = {
-    "scissors": ("eta", "gamma_bs", "drive", "clicks", "out"),
-    "teleport": ("eta", "gamma_bs", "drive", "clicks", "input", "out"),
-    "pipeline": ("eta", "gamma_bs", "drive", "out"),
-    "sweep": ("sweep", "out"),
-}
-
 FLOAT_FORMAT = ".12g"
 
 
 class ConfigError(ValueError):
     """Schema or range violation in a run configuration."""
-
-
-@dataclass(frozen=True)
-class RunSettings:
-    """Validated single-point settings with defaults applied."""
-
-    eta: float = 1.0
-    gamma_bs: float = 0.0
-    drive_gamma: complex = 1.0
-    clicks: tuple[int, int] = (1, 0)
-    input_qubit: QubitAmplitudes | None = None
-    out: str | None = None
 
 
 @dataclass(frozen=True)
@@ -136,52 +111,13 @@ class ReportRow:
     run_error: str = ""
 
     def has_violation(self) -> bool:
-        if self.run_error:
-            return True
-        numeric = [
-            self.fid_scissors_numeric,
-            self.fid_teleport_numeric,
-            self.prob_scissors,
-            self.prob_teleport,
-        ]
-        if any(not math.isfinite(v) for v in vars(self).values() if isinstance(v, float)):
+        numeric = [self.fid_scissors_numeric, self.fid_teleport_numeric, self.prob_scissors, self.prob_teleport]
+        if self.run_error or any(not math.isfinite(v) for v in vars(self).values() if isinstance(v, float)):
             return True
         return any(not 0.0 <= v <= 1.0 for v in numeric)
 
 
 CSV_COLUMNS = [f.name for f in fields(ReportRow)]
-
-
-def parse_config(source) -> dict:
-    """Validate a raw config (dict, JSON text, or file path) against the
-    schema; rejects unknown keys and reports offending field paths, so that no
-    input error surfaces later."""
-    raw = _load_config(source)
-    _check_keys(raw, "")
-    out = {}
-    out["eta"] = _check_eta(raw.get("eta", 1.0))
-    out["gamma_bs"] = _check_gamma_bs(raw.get("gamma_bs", 0.0))
-    out["drive"] = _parse_drive(raw.get("drive", 1.0))
-    out["clicks"] = _parse_clicks(raw.get("clicks", [1, 0]))
-    out["input"] = _parse_input(raw.get("input")) if "input" in raw else None
-    out["sweep"] = _parse_sweep(raw["sweep"]) if "sweep" in raw else None
-    out["out"] = raw.get("out")
-    if out["out"] is not None and not isinstance(out["out"], str):
-        raise ConfigError("out: must be a path string")
-    if out["out"] is not None and not os.access(os.path.dirname(os.path.abspath(out["out"])), os.W_OK):
-        raise ConfigError(f"cannot write {out['out']!r}: its directory is missing or not writable")
-    return out
-
-
-def settings_from_config(cfg: dict) -> RunSettings:
-    return RunSettings(
-        eta=cfg["eta"],
-        gamma_bs=cfg["gamma_bs"],
-        drive_gamma=cfg["drive"],
-        clicks=cfg["clicks"],
-        input_qubit=cfg["input"],
-        out=cfg["out"],
-    )
 
 
 def _load_config(source) -> dict:
@@ -203,43 +139,18 @@ def _load_config(source) -> dict:
     return raw
 
 
-def _merge_flags(raw: dict, args) -> dict:
-    """The config object with each given flag written over the same key (for
-    ``sweep``, over that axis as a one-element list); parse_config checks it."""
-    if args.drive is not None and args.ratio is not None:
-        raise ConfigError("give either --drive or --ratio, not both")
-    drive = args.drive
-    if args.ratio is not None:
-        if not 0 < args.ratio < math.inf:
-            raise ConfigError(f"ratio: must be finite and positive, got {args.ratio}")
-        drive = 1.0 / math.sqrt(args.ratio)
-    merged = _overlay(raw, out=args.out)
-    if args.command == "sweep":
-        flags = (("eta", args.eta), ("gamma_bs", args.gamma), ("drive", drive))
-        axes = {key: [v] for key, v in flags if v is not None}
-        merged["sweep"] = _overlay(raw.get("sweep", {}), **axes)
-        return merged
-    merged = _overlay(merged, eta=args.eta, gamma_bs=args.gamma)
-    drive_raw = raw.get("drive", {})
-    if isinstance(drive_raw, (int, float)):
-        drive_raw = {"gamma": drive_raw}
-    merged["drive"] = _overlay(drive_raw, gamma=drive)
-    c0, c1 = getattr(args, "input_c0", None), getattr(args, "input_c1", None)
-    if c0 is not None or c1 is not None:
-        merged["input"] = _overlay(raw.get("input", {}), c0=c0, c1=c1)
-    return merged
+def _is_number(value) -> bool:
+    """A JSON number: true and false are not, although Python's bool is an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _overlay(section, **updates):
-    """``section`` with the non-None updates written over it; a non-object is left to parse_config."""
-    if not isinstance(section, dict):
-        return section
-    return {**section, **{key: v for key, v in updates.items() if v is not None}}
+def _drive_object(raw):
+    """The drive's object form: a bare number is its amplitude."""
+    return {"gamma": raw} if _is_number(raw) else raw
 
 
 def _parse_drive(raw) -> complex:
-    if isinstance(raw, (int, float)):
-        raw = {"gamma": raw}
+    raw = _drive_object(raw)
     if not isinstance(raw, dict):
         raise ConfigError("drive: must be a number or an object")
     _check_keys(raw, "drive")
@@ -258,10 +169,8 @@ def _parse_input(raw) -> QubitAmplitudes:
 
 
 def _parse_clicks(raw) -> tuple[int, int]:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(v, int) and v >= 0 for v in raw)
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2 or not all(
+        _is_number(v) and isinstance(v, int) and v >= 0 for v in raw
     ):
         raise ConfigError("clicks: must be a pair of non-negative integers")
     return int(raw[0]), int(raw[1])
@@ -273,10 +182,22 @@ def _parse_sweep(raw) -> SweepGrid:
     _check_keys(raw, "sweep")
     def listing(key):
         values = raw.get(key, DEFAULT_SWEEP[key])
-        if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+        if not isinstance(values, list) or not all(map(_is_number, values)):
             raise ConfigError(f"sweep.{key}: must be a list of numbers")
         return values
     return SweepGrid(**{key: listing(key) for key in DEFAULT_SWEEP})
+
+
+def _parse_out(raw) -> str | None:
+    if raw is None:
+        return None
+    if not isinstance(raw, str):
+        raise ConfigError("out: must be a path string")
+    if not os.path.basename(raw):  # "" or a directory: no report file to write
+        raise ConfigError(f"out: {raw!r} names no file")
+    if not os.access(os.path.dirname(os.path.abspath(raw)), os.W_OK):
+        raise ConfigError(f"cannot write {raw!r}: its directory is missing or not writable")
+    return raw
 
 
 def _check_keys(raw: dict, section: str):
@@ -287,15 +208,15 @@ def _check_keys(raw: dict, section: str):
 
 
 def _parse_complex(raw, path: str) -> complex:
-    if isinstance(raw, (int, float)):
+    if _is_number(raw):
         return complex(raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 2 and all(isinstance(v, (int, float)) for v in raw):
+    if isinstance(raw, (list, tuple)) and len(raw) == 2 and all(map(_is_number, raw)):
         return complex(raw[0], raw[1])
     raise ConfigError(f"{path}: must be a number or [re, im] pair")
 
 
 def _check_range(value, name, low, high, open_high=False) -> float:
-    if not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"{name}: must be a number")
     value = float(value)
     ok = low <= value < high if open_high else low <= value <= high
@@ -319,9 +240,80 @@ def _check_drive(raw, path) -> complex:
     bounds the drive: the scissors stage never truncates it."""
     gamma = _parse_complex(raw, path)
     lam = abs(gamma) * abs(gamma)
-    if (isinstance(raw, (int, float)) and raw < 0) or not sys.float_info.min <= lam < math.inf:
+    if (_is_number(raw) and raw < 0) or not sys.float_info.min <= lam < math.inf:
         raise ConfigError(f"{path}: drive amplitude {raw} must be finite and positive, |gamma|^2 normal")
     return gamma
+
+
+COMMANDS = ("scissors", "teleport", "pipeline", "sweep")
+_POINT = COMMANDS[:3]
+
+# The config schema.  Each root key: its value when absent, the parser of a given value
+# (which raises ConfigError naming the key's path), and the commands that read it; keys
+# are parsed in this order, so the first bad key is the one reported.
+ROOT_KEYS = {
+    "eta": (1.0, _check_eta, _POINT),
+    "gamma_bs": (0.0, _check_gamma_bs, _POINT),
+    "drive": (1.0 + 0j, _parse_drive, _POINT),
+    "clicks": ((1, 0), _parse_clicks, ("scissors", "teleport")),
+    "input": (None, _parse_input, ("teleport",)),  # None: the drive's own qubit
+    "sweep": (SweepGrid(**DEFAULT_SWEEP), _parse_sweep, ("sweep",)),
+    "out": (None, _parse_out, COMMANDS),
+}
+
+# Each flag but --config: the config path it writes and its help.  A flag belongs to the
+# commands that read its root key; on sweep, a flag on a grid axis replaces that axis.
+# Two flags on one path exclude each other; --ratio R writes the drive 1/sqrt(R).
+FLAGS = {
+    "--eta": ("eta", "detector efficiency in [0, 1]"),
+    "--gamma": ("gamma_bs", "beam-splitter damping in [0, 1)"),
+    "--drive": ("drive.gamma", "coherent drive amplitude |gamma|"),
+    "--ratio": ("drive.gamma", "target weight ratio R (sets drive to 1/sqrt(R))"),
+    "--out": ("out", "report output path"),
+    "--input-c0": ("input.c0", "input qubit amplitude c0"),
+    "--input-c1": ("input.c1", "input qubit amplitude c1"),
+}
+
+# every key a config may hold, by section ("" is the root); parse_config refuses any other
+CONFIG_KEYS = {"": tuple(ROOT_KEYS), "drive": ("gamma",), "input": ("c0", "c1"), "sweep": tuple(DEFAULT_SWEEP)}
+
+# the root keys each command reads; ``main`` refuses any other, so no input is silently ignored
+COMMAND_KEYS = {command: tuple(k for k, v in ROOT_KEYS.items() if command in v[2]) for command in COMMANDS}
+
+
+def parse_config(source) -> dict:
+    """Validate a raw config (dict, JSON text, or file path) against ``ROOT_KEYS``;
+    rejects unknown keys and reports offending field paths, so that no input error
+    surfaces later.  Returns every root key, parsed or at its default."""
+    raw = _load_config(source)
+    _check_keys(raw, "")
+    return {key: parse(raw[key]) if key in raw else default for key, (default, parse, _) in ROOT_KEYS.items()}
+
+
+def _merge_flags(raw: dict, args) -> dict:
+    """The config object with each given flag written over its path (on ``sweep``, over
+    that grid axis as a one-element list); parse_config checks it."""
+    merged, writers = dict(raw), {}
+    for flag, (path, _) in FLAGS.items():
+        value = vars(args).get(flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if path in writers:
+            raise ConfigError(f"give either {writers[path]} or {flag}, not both")
+        writers[path] = flag
+        if flag == "--ratio":
+            if not 0 < value < math.inf:
+                raise ConfigError(f"ratio: must be finite and positive, got {value}")
+            value = 1.0 / math.sqrt(value)
+        key, _, sub = path.partition(".")
+        if args.command == "sweep" and key in DEFAULT_SWEEP:
+            key, sub, value = "sweep", key, [value]
+        if sub:
+            section = _drive_object(merged.get(key, {})) if key == "drive" else merged.get(key, {})
+            # a section that is not an object is left for parse_config to refuse
+            value = {**section, sub: value} if isinstance(section, dict) else section
+        merged[key] = value
+    return merged
 
 
 def evaluate_point(
@@ -341,18 +333,11 @@ def evaluate_point(
         raise ValueError(f"bs must equal lossy_5050({gamma_bs}), got {bs}")
     drive = CoherentDrive(drive_gamma)
     params = NoiseParams.from_drive(eta, gamma_bs, drive)
-    row = ReportRow(
-        eta=eta,
-        gamma=gamma_bs,
-        ratio_R=params.ratio_R,
-        drive_gamma=abs(drive_gamma),
-    )
+    row = ReportRow(eta=eta, gamma=gamma_bs, ratio_R=params.ratio_R, drive_gamma=abs(drive_gamma))
     errors = []
     try:
-        eq16 = truncation_fidelity(params)
-        eq20 = teleport_fidelity(params)
-        eq15 = truncation_norm(params, bs)
-        eq180 = teleport_norm(params)
+        eq16, eq20 = truncation_fidelity(params), teleport_fidelity(params)
+        eq15, eq180 = truncation_norm(params, bs), teleport_norm(params)
         row.fid_scissors_eq16 = eq16.value
         row.fid_teleport_eq20 = eq20.value
         row.norm_eq15 = eq15.value
@@ -373,10 +358,21 @@ def evaluate_point(
         if eq16 is not None:
             row.abs_diff_16 = abs(s_res.fidelity - eq16.value)
             row.abs_diff_20 = abs(fid_e2e - eq20.value)
+        if not (_is_physical_qubit(s_res.state) and _is_physical_qubit(t_res.state)):
+            errors.append("unphysical_state")
     except ImpossibleOutcomeError:
         errors.append("impossible_outcome")
     row.run_error = ";".join(errors)
     return row
+
+
+def _is_physical_qubit(rho) -> bool:
+    """A 2x2 state is Hermitian, of unit trace and positive, checked in closed form: a Hermitian
+    2x2 matrix is positive when its diagonal and determinant are, so no LAPACK call is made."""
+    (a, b), (c, d) = rho.matrix.tolist()
+    hermitian = max(abs(b - c.conjugate()), 2 * abs(a.imag), 2 * abs(d.imag)) <= HERMITICITY_TOL
+    lowest = min(a.real, d.real, (a * d - b * c).real)
+    return hermitian and abs(a.real + d.real - 1.0) <= NORM_SLACK and lowest >= -POSITIVITY_TOL
 
 
 def run_sweep(grid: SweepGrid) -> list[ReportRow]:
@@ -400,15 +396,8 @@ def format_float(value: float) -> str:
 
 def rows_to_csv(rows: list[ReportRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        cells = []
-        for name in CSV_COLUMNS:
-            value = getattr(row, name)
-            if isinstance(value, float):
-                cells.append(format_float(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
+    for row in rows:  # the fields in column order
+        lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in vars(row).values()))
     return "\n".join(lines) + "\n"
 
 
@@ -424,55 +413,50 @@ def write_reports(rows: list[ReportRow], out_path: str):
     return csv_path, json_path
 
 
-def _result_payload(kind: str, result, settings: RunSettings) -> dict:
-    return {
+def _cmd_single(kind: str, cfg: dict) -> int:
+    drive = CoherentDrive(cfg["drive"])
+    bs = BeamSplitterSpec.lossy_5050(cfg["gamma_bs"])
+    stage = dict(bs1=bs, bs2=bs, detectors=DetectorSpec(cfg["eta"]), clicks=cfg["clicks"])
+    if kind == "scissors":
+        result = run_scissors(ScissorsConfig(drive=drive, **stage))
+    else:
+        qubit = cfg["input"] or QubitAmplitudes.from_drive(drive)
+        result = run_teleport(TeleportConfig(input_state=qubit, **stage))
+    payload = {
         "kind": kind,
-        "eta": settings.eta,
-        "gamma_bs": settings.gamma_bs,
-        "drive_gamma": [settings.drive_gamma.real, settings.drive_gamma.imag],
-        "clicks": list(settings.clicks),
+        "eta": cfg["eta"],
+        "gamma_bs": cfg["gamma_bs"],
+        "drive_gamma": [cfg["drive"].real, cfg["drive"].imag],
+        "clicks": list(cfg["clicks"]),
         "probability": result.probability,
         "fidelity": result.fidelity,
         "diagnostics": result.diagnostics,
         "conditional_state": result.state.to_json_dict(),
         "target": result.target.to_json_dict(),
     }
-
-
-def _cmd_single(kind: str, settings: RunSettings) -> int:
-    drive = CoherentDrive(settings.drive_gamma)
-    bs = BeamSplitterSpec.lossy_5050(settings.gamma_bs)
-    stage = dict(bs1=bs, bs2=bs, detectors=DetectorSpec(settings.eta), clicks=settings.clicks)
-    if kind == "scissors":
-        result = run_scissors(ScissorsConfig(drive=drive, **stage))
-    else:
-        qubit = settings.input_qubit or QubitAmplitudes.from_drive(drive)
-        result = run_teleport(TeleportConfig(input_state=qubit, **stage))
-    payload = _result_payload(kind, result, settings)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if settings.out:
-        with open(settings.out, "w", encoding="utf-8", newline="\n") as fh:
+    if cfg["out"]:
+        with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     print(
-        f"{kind}: eta={format_float(settings.eta)} gamma={format_float(settings.gamma_bs)} "
+        f"{kind}: eta={format_float(cfg['eta'])} gamma={format_float(cfg['gamma_bs'])} "
         f"probability={format_float(result.probability)} fidelity={format_float(result.fidelity)}"
     )
     return 0
 
 
-def _cmd_pipeline(settings: RunSettings) -> int:
-    row = evaluate_point(settings.eta, settings.gamma_bs, abs(settings.drive_gamma))
-    rows = [row]
-    if settings.out:
-        write_reports(rows, settings.out)
+def _cmd_pipeline(cfg: dict) -> int:
+    rows = [evaluate_point(cfg["eta"], cfg["gamma_bs"], abs(cfg["drive"]))]
+    if cfg["out"]:
+        write_reports(rows, cfg["out"])
     print(rows_to_csv(rows), end="")
-    return 1 if row.has_violation() else 0
+    return 1 if rows[0].has_violation() else 0
 
 
-def _cmd_sweep(grid: SweepGrid, out: str | None) -> int:
-    rows = run_sweep(grid)
-    if out:
-        csv_path, json_path = write_reports(rows, out)
+def _cmd_sweep(cfg: dict) -> int:
+    rows = run_sweep(cfg["sweep"])
+    if cfg["out"]:
+        csv_path, json_path = write_reports(rows, cfg["out"])
         print(f"wrote {csv_path} and {json_path} ({len(rows)} rows)")
     else:
         print(rows_to_csv(rows), end="")
@@ -489,12 +473,12 @@ def _cmd_bell_check() -> int:
         pattern = assignment[label]
         pattern_text = f"({pattern[0]},{pattern[1]})" if pattern else "mixed"
         norm = img.norm()
-        if abs(norm - 1.0) > 1e-12:
-            violation = True
-        parts = []
-        for occ, amp in zip(img.register.occupations(), img.amplitudes):
-            if abs(amp) > 1e-12:
-                parts.append(f"({amp.real:+.4f}{amp.imag:+.4f}i)|{occ[0]}{occ[1]}>")
+        violation |= abs(norm - 1.0) > 1e-12
+        parts = [
+            f"({amp.real:+.4f}{amp.imag:+.4f}i)|{occ[0]}{occ[1]}>"
+            for occ, amp in zip(img.register.occupations(), img.amplitudes)
+            if abs(amp) > 1e-12
+        ]
         print(f"{label:<10} {pattern_text:<14} {format_float(norm):<16} " + " + ".join(parts))
     exact = assignment.get("psi_plus") == (1, 0) and assignment.get("psi_minus") == (0, 1)
     print(
@@ -515,7 +499,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once: parsing leaves it unchanged."""
+    """The command-line parser, built once: parsing leaves it unchanged.  Each command's
+    flags come from ``FLAGS``."""
     parser = _Parser(
         prog="qscissors",
         description="Simulate the zero/one-photon scissors teleporter and compare with "
@@ -524,17 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
         "Exit codes: 0 ok, 1 invariant violation or impossible outcome, 2 config error.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("scissors", "teleport", "pipeline", "sweep"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file or inline JSON object")
-        p.add_argument("--eta", type=float, help="detector efficiency in [0, 1]")
-        p.add_argument("--gamma", type=float, help="beam-splitter damping in [0, 1)")
-        p.add_argument("--drive", type=float, help="coherent drive amplitude |gamma|")
-        p.add_argument("--ratio", type=float, help="target weight ratio R (sets drive to 1/sqrt(R))")
-        p.add_argument("--out", help="report output path")
-        if name == "teleport":
-            p.add_argument("--input-c0", type=float, help="input qubit amplitude c0")
-            p.add_argument("--input-c1", type=float, help="input qubit amplitude c1")
+        for flag, (path, help_text) in FLAGS.items():
+            key = path.partition(".")[0]
+            if name in ROOT_KEYS[key][2] or (name == "sweep" and key in DEFAULT_SWEEP):
+                p.add_argument(flag, type=None if key == "out" else float, help=help_text)
     sub.add_parser("bell-check")
     return parser
 
@@ -549,12 +530,9 @@ def main(argv=None) -> int:
         for key in merged:
             if key not in COMMAND_KEYS[args.command]:
                 raise ConfigError(f"{args.command} does not read {key!r}")
-        if args.command == "sweep":
-            return _cmd_sweep(cfg["sweep"], cfg["out"])
-        settings = settings_from_config(cfg)
-        if args.command == "pipeline":
-            return _cmd_pipeline(settings)
-        return _cmd_single(args.command, settings)
+        if args.command in ("scissors", "teleport"):
+            return _cmd_single(args.command, cfg)
+        return _cmd_sweep(cfg) if args.command == "sweep" else _cmd_pipeline(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

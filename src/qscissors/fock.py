@@ -127,15 +127,6 @@ class FockVector:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def amplitude(self, occupation: tuple[int, ...]) -> complex:
-        return complex(self.amplitudes[self.register.index(occupation)])
-
-    def normalized(self) -> "FockVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero vector")
-        return FockVector(self.register, self.amplitudes / n)
-
     def to_density(self) -> "DensityOperator":
         return DensityOperator(self.register, np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -153,9 +144,9 @@ class FockVector:
 class DensityOperator:
     """Mixed state on a register. Hermiticity is enforced at construction.
 
-    Trace may be below 1 only for sub-normalized post-selection intermediates;
-    positivity is checked on demand (``assert_physical``) because it costs a
-    full eigendecomposition.
+    Trace may be below 1 only for sub-normalized post-selection intermediates.
+    Positivity is not checked here, since it would cost a full eigendecomposition;
+    the CLI checks its 2x2 conditional states in closed form.
     """
 
     def __init__(self, register: ModeRegister, matrix: np.ndarray, check: bool = True):
@@ -177,24 +168,6 @@ class DensityOperator:
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def assert_physical(self, positivity_tol: float = POSITIVITY_TOL):
-        """Raise if Hermiticity, positivity, or the trace bound is violated."""
-        defect = self.hermiticity_defect()
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL}")
-        lo = self.min_eigenvalue()
-        if lo < -positivity_tol:
-            raise ValueError(f"minimum eigenvalue {lo:.3e} below -{positivity_tol}")
-        tr = self.trace()
-        if not -NORM_SLACK <= tr <= 1.0 + NORM_SLACK:
-            raise ValueError(f"trace {tr} outside [0, 1]")
 
     def normalized(self) -> "DensityOperator":
         tr = self.trace()

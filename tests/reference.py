@@ -11,8 +11,9 @@ tautology.  Only the package's containers (``BeamSplitterSpec``,
 algebra of the ideal teleporter and the vacuum Wick moment, oracles that only
 the tests use, also live here; they build on the package's Fock vectors and
 Bell states.  So do plain-numpy readers of the package's containers that only
-tests need: populations, overlaps, Kronecker products of pure vectors, the
-JSON loaders and a splitter's noise covariance.
+tests need: amplitudes, populations, overlaps, normalization, Kronecker products
+of pure vectors, the JSON loaders, a splitter's noise covariance, a qubit's phase
+flip, and the eigenvalue check of a density operator's physicality.
 
 Imports stay absolute: the benchmark loads this file by path.  scipy is
 imported only inside the two functions that call ``expm``/``logm``, so loading
@@ -26,7 +27,44 @@ import numpy as np
 
 from qscissors.apparatus import QubitAmplitudes, bell_states
 from qscissors.channels import PSD_TOL, BeamSplitterSpec
-from qscissors.fock import DensityOperator, FockVector, ModeRegister
+from qscissors.fock import HERMITICITY_TOL, NORM_SLACK, POSITIVITY_TOL, DensityOperator, FockVector, ModeRegister
+
+
+def amplitude(x: FockVector, occupation: tuple) -> complex:
+    """The amplitude of one occupation tuple."""
+    return complex(x.amplitudes[x.register.index(occupation)])
+
+
+def normalized(x: FockVector) -> FockVector:
+    n = x.norm()
+    if n == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    return FockVector(x.register, x.amplitudes / n)
+
+
+def phase_flipped(qubit: QubitAmplitudes) -> QubitAmplitudes:
+    return QubitAmplitudes(qubit.c0, -qubit.c1)
+
+
+def hermiticity_defect(rho: DensityOperator) -> float:
+    return float(np.max(np.abs(rho.matrix - rho.matrix.conj().T)))
+
+
+def min_eigenvalue(rho: DensityOperator) -> float:
+    return float(np.linalg.eigvalsh(rho.matrix)[0])
+
+
+def assert_physical(rho: DensityOperator, positivity_tol: float = POSITIVITY_TOL):
+    """Raise if Hermiticity, positivity, or the trace bound is violated."""
+    defect = hermiticity_defect(rho)
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL}")
+    lo = min_eigenvalue(rho)
+    if lo < -positivity_tol:
+        raise ValueError(f"minimum eigenvalue {lo:.3e} below -{positivity_tol}")
+    tr = rho.trace()
+    if not -NORM_SLACK <= tr <= 1.0 + NORM_SLACK:
+        raise ValueError(f"trace {tr} outside [0, 1]")
 
 
 def total_photons(register: ModeRegister) -> np.ndarray:

@@ -54,6 +54,7 @@ from .reference import (
     lossy_bs_kraus,
     mode_population_above,
     overlap,
+    phase_flipped,
     population,
     wick_moment,
 )
@@ -92,7 +93,7 @@ def test_criterion_01_ideal_teleport_identity():
 
         flipped_res = run_teleport(TeleportConfig(input_state=qubit, clicks=(0, 1)))
         assert abs(flipped_res.probability - 0.25) <= 1e-10
-        flipped_target = qubit.phase_flipped().as_vector("a")
+        flipped_target = phase_flipped(qubit).as_vector("a")
         assert fidelity(flipped_res.state, flipped_target) >= 1 - 1e-10
     assert time.perf_counter() - start < 5.0
 

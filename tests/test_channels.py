@@ -30,6 +30,7 @@ from qscissors.fock import (
 )
 
 from .reference import (
+    assert_physical,
     dilate,
     fock_block_from_2x2,
     fock_unitary_from_2x2,
@@ -646,7 +647,7 @@ def test_kraus_trace_preserving_on_retained_blocks():
     rho = random_retained_state(reg, seed=9, block_max=3)
     out = chan.apply(rho, ("x", "y"))
     assert abs(out.trace() - 1.0) < 1e-10
-    out.assert_physical()
+    assert_physical(out)
 
 
 def test_kraus_single_photon_loss_arithmetic():

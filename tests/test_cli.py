@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 import types
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -17,14 +17,12 @@ from qscissors.cli import (
     CSV_COLUMNS,
     ConfigError,
     ReportRow,
-    RunSettings,
     SweepGrid,
     evaluate_point,
     main,
     parse_config,
     rows_to_csv,
     run_sweep,
-    settings_from_config,
 )
 from qscissors.channels import BeamSplitterSpec
 
@@ -112,22 +110,21 @@ def test_evaluate_point_makes_no_eigh_call_inside_the_splitter_build(monkeypatch
 
 def test_parse_empty_config_gives_ideal_defaults():
     cfg = parse_config({})
-    settings = settings_from_config(cfg)
-    assert settings.eta == 1.0
-    assert settings.gamma_bs == 0.0
-    assert settings.drive_gamma == 1.0
-    assert settings.clicks == (1, 0)
-    assert settings.input_qubit is None
-    assert settings.out is None
+    assert cfg["eta"] == 1.0
+    assert cfg["gamma_bs"] == 0.0
+    assert cfg["drive"] == 1.0
+    assert cfg["clicks"] == (1, 0)
+    assert cfg["input"] is None
+    assert cfg["out"] is None
+    assert cfg["sweep"] == SweepGrid(**cli.DEFAULT_SWEEP)
     # no drive cutoff or tail budget is left to default
-    assert [f.name for f in fields(RunSettings)] == ["eta", "gamma_bs", "drive_gamma", "clicks", "input_qubit", "out"]
+    assert list(cfg) == ["eta", "gamma_bs", "drive", "clicks", "input", "sweep", "out"]
 
 
 def test_parse_hardware_estimate_point():
     cfg = parse_config({"eta": 0.7, "gamma_bs": 0.02})
-    settings = settings_from_config(cfg)
-    assert settings.eta == 0.7
-    assert settings.gamma_bs == 0.02
+    assert cfg["eta"] == 0.7
+    assert cfg["gamma_bs"] == 0.02
 
 
 def test_parse_rejects_eta_out_of_range():
@@ -145,12 +142,11 @@ def test_parse_rejects_unknown_keys_with_path():
 
 
 def test_parse_drive_forms():
-    assert settings_from_config(parse_config({"drive": 2.0})).drive_gamma == 2.0
-    settings = settings_from_config(parse_config({"drive": {"gamma": [0.0, 1.0]}}))
-    assert settings.drive_gamma == 1j
+    assert parse_config({"drive": 2.0})["drive"] == 2.0
+    assert parse_config({"drive": {"gamma": [0.0, 1.0]}})["drive"] == 1j
     # nothing bounds a drive but a normal |gamma|^2
     for drive in (12.0, 100.0, 1e150, [0.0, 1e150]):
-        gamma = settings_from_config(parse_config({"drive": {"gamma": drive}})).drive_gamma
+        gamma = parse_config({"drive": {"gamma": drive}})["drive"]
         assert gamma == (complex(*drive) if isinstance(drive, list) else drive)
     for key, value in (("cutoff", 12), ("tail_eps", 1e-9), ("max_cutoff", 300)):
         with pytest.raises(ConfigError, match=f"^unknown config key 'drive.{key}'$"):
@@ -302,6 +298,31 @@ def test_balanced_splitter_keeps_one_loss_table_after_a_point():
     spec = BeamSplitterSpec.lossy_5050(0.1)
     evaluate_point(0.7, 0.1, 1.0, bs=spec)
     assert len(spec.store._tables) == 1
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1.2, 0.0], [0.0, -0.2]], [[0.5, 0.6], [0.6, 0.5]], [[0.5, 0.5], [0.4, 0.5]], [[0.5, 0.0], [0.0, 0.4]]],
+    ids=["negative-diagonal", "negative-determinant", "not-hermitian", "trace-0.9"],
+)
+@pytest.mark.parametrize("stage", [0, 1], ids=["scissors", "teleport"])
+def test_unphysical_conditional_state_is_reported_on_the_row(monkeypatch, stage, matrix):
+    import numpy as np
+
+    from qscissors.fock import DensityOperator
+
+    full_pipeline = cli.full_pipeline
+
+    def broken(config):
+        results = list(full_pipeline(config))
+        state = DensityOperator(results[stage].state.register, np.array(matrix, dtype=complex), check=False)
+        results[stage] = replace(results[stage], state=state)
+        return tuple(results)
+
+    monkeypatch.setattr(cli, "full_pipeline", broken)
+    row = evaluate_point(0.7, 0.1, 0.5)
+    assert row.run_error == "unphysical_state"
+    assert row.has_violation()
 
 
 def test_evaluate_point_refuses_a_spec_of_another_gamma():
@@ -512,6 +533,41 @@ BOUNDARY_TABLE = [
     pytest.param(["sweep", "--out", "/nonexistent_dir/x"], 2, r"config error: cannot write", id="sweep-out-missing-dir"),
     pytest.param(["pipeline", "--eta", "x"], 2, r"config error: argument --eta: invalid float value: 'x'$", id="eta-x"),
     pytest.param([], 2, r"config error: the following arguments are required: command$", id="no-command"),
+    # JSON true/false are not numbers, and an empty path or a directory names no report file
+    pytest.param(["pipeline", "--config", '{"eta": true}'], 2, r"config error: eta: must be a number$", id="eta-true"),
+    pytest.param(
+        ["pipeline", "--config", '{"gamma_bs": false}'], 2, r"config error: gamma_bs: must be a number$", id="gamma-false"
+    ),
+    pytest.param(
+        ["pipeline", "--config", '{"drive": true}'], 2, r"config error: drive: must be a number or an object$", id="drive-true"
+    ),
+    pytest.param(
+        ["pipeline", "--config", '{"drive": {"gamma": [true, 1]}}'],
+        2,
+        r"config error: drive\.gamma: must be a number or \[re, im\] pair$",
+        id="drive-pair-true",
+    ),
+    pytest.param(
+        ["scissors", "--config", '{"clicks": [true, false]}'],
+        2,
+        r"config error: clicks: must be a pair of non-negative integers$",
+        id="clicks-true-false",
+    ),
+    pytest.param(
+        ["teleport", "--config", '{"input": {"c0": true, "c1": false}}'],
+        2,
+        r"config error: input\.c0: must be a number or \[re, im\] pair$",
+        id="input-true-false",
+    ),
+    pytest.param(
+        ["sweep", "--config", '{"sweep": {"eta": [true]}}'],
+        2,
+        r"config error: sweep\.eta: must be a list of numbers$",
+        id="sweep-eta-true",
+    ),
+    pytest.param(["pipeline", "--out", ""], 2, r"config error: out: '' names no file$", id="out-empty"),
+    pytest.param(["sweep", "--config", '{"out": ""}'], 2, r"config error: out: '' names no file$", id="config-out-empty"),
+    pytest.param(["sweep", "--out", "reports/"], 2, r"config error: out: 'reports/' names no file$", id="out-directory"),
 ]
 
 

@@ -19,6 +19,7 @@ from qscissors.apparatus import (
 from qscissors.channels import DetectorSpec
 from qscissors.fock import CoherentDrive
 
+from .reference import assert_physical
 from .test_channels import random_physical_specs
 
 # one spec drawn with random_physical_specs's PSD acceptance rule per seed
@@ -45,7 +46,7 @@ def qubits(draw):
 def assert_physical_outcome(result):
     assert 0.0 <= result.probability <= 1.0
     assert abs(result.state.trace() - 1.0) <= 1e-12
-    result.state.assert_physical()
+    assert_physical(result.state)
     assert 0.0 <= result.fidelity <= 1.0
 
 
