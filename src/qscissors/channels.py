@@ -2,11 +2,11 @@
 
 Three models live here:
 
-* exact passive two-mode unitaries, held as their total-photon blocks
-  (``PairOperator``).  A block within both mode cutoffs is the n-photon
+* exact passive two-mode unitaries, held as one block per total photon
+  number (``PairOperator``).  A block within both mode cutoffs is the n-photon
   representation of the 2x2 matrix, built by a two-sided photon-number
   recurrence with no eigendecomposition (truncation can never corrupt it); a
-  truncated block is the exponential of its truncated generator.  A splitter
+  truncated block is the exponential of its own truncated generator.  A splitter
   acting on a state is built only up to the largest total photon number the
   state occupies on its two modes, from blocks its spec keeps for every later
   call (``SplitterStore``).  A block operator acts on a register by
@@ -29,7 +29,9 @@ Only the post-selected conditional state leaves as a ``DensityOperator``.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,7 +52,7 @@ IMPOSSIBLE_PROBABILITY = 1e-300
 # a table grows to at least this size: the teleporter's modes have cutoff 2, so one build
 # per transmissivity serves both stages of a point
 LOSS_TABLE_MIN_SIZE = 3
-_LADDER_ROOT = np.ones((1, 1, 1), dtype=complex)  # B_0, the vacuum block of every passive V
+_LADDER_ROOT = np.ones((1, 1), dtype=complex)  # B_0, the vacuum block of every passive V
 _LADDER_ROOT.flags.writeable = False
 
 
@@ -174,15 +176,15 @@ class DetectorSpec:
 @dataclass(frozen=True)
 class PairOperator:
     """Number-conserving operator on two modes of sizes ``dims`` (basis
-    (n1, n2), second fastest), held as its total-photon blocks.  Each batch is
-    (slices, blocks (B, size, size)) with <s[i]| op |s[j]> = blocks[b, i, j] for
-    s = range(dims[0] * dims[1])[slices[b]]: the states (m, n - m) of one total n,
+    (n1, n2), second fastest), held as one block per total n.  Each of ``blocks``
+    is (slice, block (size, size)) with <s[i]| op |s[j]> = block[i, j] for
+    s = range(dims[0] * dims[1])[slice]: the states (m, n - m) of one total,
     m ascending, lie d2 - 1 apart in the pair index, so every block reads and
-    writes a strided view.  States in no batch map to zero; a diagonal operator
+    writes a strided view.  States in no block map to zero; a diagonal operator
     keeps only its ``phases``."""
 
     dims: tuple[int, int]
-    batches: tuple = ()
+    blocks: tuple = ()
     phases: np.ndarray | None = None
 
     @property
@@ -190,17 +192,16 @@ class PairOperator:
         """Number of stored entries."""
         if self.phases is not None:
             return self.phases.size
-        return sum(blocks.size for _, blocks in self.batches)
+        return sum(block.size for _, block in self.blocks)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """op acting on axis 1 of x, shape (rest, d1 * d2, rank): each block
-        maps the strided view x[:, s] to y[:, s], one block at a time."""
+        maps the strided view x[:, s] to y[:, s]."""
         if self.phases is not None:
             return x * self.phases[:, None]
         y = np.zeros(x.shape, dtype=complex)
-        for slices, blocks in self.batches:
-            for s, block in zip(slices, blocks):
-                np.matmul(block, x[:, s], out=y[:, s])
+        for s, block in self.blocks:
+            np.matmul(block, x[:, s], out=y[:, s])
         return y
 
 
@@ -242,9 +243,9 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | Non
     unitarity defect of V itself.  A truncated block (min cutoff < n <= top) is exp(-i G)
     on the truncated basis, G = sum_ij h_ij a_i^dag a_j, h = i log V in closed form from
     V = c exp(-i theta n.sigma) with c = +-sqrt(det V), Re tr(V/c) >= 0 (the branch centred
-    on the determinant phase).  G is tridiagonal over the states (m, n - m); the phases
-    exp(i k arg h_01) make it real, and blocks of equal size share one batched
-    eigendecomposition.  A diagonal V gives the exact phases V00^m V11^n."""
+    on the determinant phase).  G is tridiagonal over the states (m, n - m), and each
+    truncated block takes its own eigendecomposition.  A diagonal V gives the exact phases
+    V00^m V11^n, each power the running product of V's entry."""
     (v00, v01), (v10, v11) = np.asarray(v, dtype=complex).tolist()
     defect = max(  # the largest entry of |V V^dag - I|
         abs(abs(v00) ** 2 + abs(v01) ** 2 - 1),
@@ -256,7 +257,8 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | Non
     dims = (cutoff1 + 1, cutoff2 + 1)
     top = cutoff1 + cutoff2 if top is None else min(top, cutoff1 + cutoff2)
     if v01 == 0 and v10 == 0:
-        p1, p2 = _powers(v00, cutoff1), _powers(v11, cutoff2)
+        p1 = list(itertools.accumulate([v00] * cutoff1, operator.mul, initial=1 + 0j))
+        p2 = list(itertools.accumulate([v11] * cutoff2, operator.mul, initial=1 + 0j))
         phases = [a * b if m + n <= top else 0j for m, a in enumerate(p1) for n, b in enumerate(p2)]
         return PairOperator(dims, phases=np.array(phases))
     low = min(cutoff1, cutoff2, top)
@@ -264,25 +266,17 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | Non
     if len(ladder) <= low:
         _extend_ladder(v, ladder, low)
     step = dims[1] - 1 or 1  # state (i, n - i) sits at n + i (d2 - 1); any step serves d2 = 1
-    batches = [((slice(n, n + n * step + 1, step),), ladder[n]) for n in range(low + 1)]
+    blocks = [(slice(n, n + n * step + 1, step), ladder[n]) for n in range(low + 1)]
     if top > low:
-        batches += _truncated_blocks((v00, v01, v10, v11), dims, low, top, step)
-    return PairOperator(dims, tuple(batches))
-
-
-def _powers(z: complex, n: int) -> list:
-    """[1, z, z^2, .., z^n], each the product of the one before and z."""
-    powers = [1.0 + 0j]
-    for _ in range(n):
-        powers.append(powers[-1] * z)
-    return powers
+        blocks += _truncated_blocks((v00, v01, v10, v11), dims, low, top, step)
+    return PairOperator(dims, tuple(blocks))
 
 
 def _extend_ladder(v: np.ndarray, ladder: list, low: int):
-    """Append B_n, n = len(ladder) .. low, each (1, n + 1, n + 1) and read-only, to V's
-    ``ladder`` by the recurrence of ``_blockwise_passive``."""
+    """Append B_n, n = len(ladder) .. low, each (n + 1, n + 1) and read-only, to V's
+    ``ladder`` by the recurrence of ``_blockwise_passive``: the block of one total each."""
     root = np.sqrt(np.arange(low + 1.0))
-    block = ladder[-1][0]
+    block = ladder[-1]
     for n in range(len(ladder), low + 1):
         up, down = root[1 : n + 1, None], root[n:0:-1, None]  # sqrt(i) for i >= 1, sqrt(n - i) for i < n
         raised = np.zeros((2, n + 1, n), dtype=complex)
@@ -294,12 +288,12 @@ def _extend_ladder(v: np.ndarray, ladder: list, low: int):
         block[:, :-1] += rows[1] * down.T
         block /= n
         block.flags.writeable = False
-        ladder.append(block[None])
+        ladder.append(block)
 
 
 def _truncated_blocks(v, dims: tuple[int, int], low: int, top: int, step: int) -> list:
-    """Batches exp(-i G) of the blocks with totals low < n <= top (see ``_blockwise_passive``),
-    each block on the slice of its states, ``step`` apart."""
+    """The blocks exp(-i G) of the totals low < n <= top (see ``_blockwise_passive``), one per
+    total, each on the slice of its states, ``step`` apart."""
     v00, v01, v10, v11 = v
     c = cmath.sqrt(v00 * v11 - v01 * v10)
     c = c if ((v00 + v11) / c).real >= 0 else -c
@@ -307,30 +301,16 @@ def _truncated_blocks(v, dims: tuple[int, int], low: int, top: int, step: int) -
     sin = math.hypot(alpha.imag, abs(beta))  # alpha = cos theta - i sin theta n_z
     f = math.atan2(sin, alpha.real) / sin if sin else 1.0
     h00, h11, h01 = -cmath.phase(c) - f * alpha.imag, -cmath.phase(c) + f * alpha.imag, 1j * f * beta
-    m, n = np.divmod(np.arange(math.prod(dims)), dims[1])
-    states = np.flatnonzero((m + n > low) & (m + n <= top))
-    m, n = m[states], n[states]
-    sizes = np.minimum(m + n, dims[0] - 1) - np.maximum(0, m + n - dims[1] + 1) + 1
-    order = np.argsort((sizes * sum(dims) + m + n) * dims[0] + m)  # by (size, total, m): one run per size
-    energy = (h00 * m + h11 * n)[order]
-    hop = (abs(h01) * np.sqrt((m + 1.0) * n))[order]  # couples (m, n) to (m + 1, n - 1)
-    k = np.arange(min(dims) + 1)
-    phases = np.exp(1j * cmath.phase(h01) * (k[:, None] - k))
-    counts = np.bincount(sizes, minlength=k.size)[1:] // k[1:]
-    batches, start = [], 0
-    for size, count in enumerate(counts, 1):
-        stop = start + size * count
-        if count:
-            gen = np.zeros((count, size * size))
-            gen[:, :: size + 1] = energy[start:stop].reshape(count, size)
-            gen[:, 1 :: size + 1] = gen[:, size :: size + 1] = hop[start:stop].reshape(count, size)[:, :-1]
-            energies, basis = np.linalg.eigh(gen.reshape(count, size, size))
-            blocks = (basis * np.exp(-1j * energies)[:, None, :]) @ basis.transpose(0, 2, 1)
-            first = states[order[start:stop:size]].tolist()  # each block's state of least m
-            slices = tuple(slice(i, i + (size - 1) * step + 1, step) for i in first)
-            batches.append((slices, blocks * phases[:size, :size]))
-        start = stop
-    return batches
+    blocks = []
+    for n in range(low + 1, top + 1):
+        m = np.arange(max(0, n - dims[1] + 1), min(n, dims[0] - 1) + 1)
+        hop = h01 * np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))  # couples (m, n - m) to (m + 1, n - m - 1)
+        gen = np.diag(h00 * m + h11 * (n - m)) + np.diag(hop, -1) + np.diag(hop.conj(), 1)
+        energies, basis = np.linalg.eigh(gen)
+        first = m[0] * dims[1] + n - m[0]  # the pair index of the state of least m
+        block = (basis * np.exp(-1j * energies)) @ basis.conj().T
+        blocks.append((slice(first, first + (m.size - 1) * step + 1, step), block))
+    return blocks
 
 
 def detector_povm(det: DetectorSpec, clicks: int, cutoff: int) -> np.ndarray:
@@ -439,8 +419,6 @@ def _attenuate(state: FactoredState, label: str, tau: float, store: SplitterStor
     branches A_k psi, bar those below COMPRESSION_TOL, are stacked as columns
     and re-compressed; dropped weight goes to ``compression_error``.  The table
     A_k(n) comes from ``store`` when given."""
-    if tau >= 1.0:
-        return state
     reg = state.register
     pos = reg.position(label)
     d = reg.dims[pos]

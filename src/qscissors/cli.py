@@ -33,6 +33,7 @@ from .analytic import (
     truncation_norm,
 )
 from .apparatus import (
+    MAX_CLICKS,
     QubitAmplitudes,
     ScissorsConfig,
     TeleportConfig,
@@ -173,6 +174,8 @@ def _parse_clicks(raw) -> tuple[int, int]:
         _is_number(v) and isinstance(v, int) and v >= 0 for v in raw
     ):
         raise ConfigError("clicks: must be a pair of non-negative integers")
+    if max(raw) > MAX_CLICKS:
+        raise ConfigError(f"clicks: must lie in [0, {MAX_CLICKS}], got {max(raw)}")
     return int(raw[0]), int(raw[1])
 
 
@@ -378,16 +381,10 @@ def _is_physical_qubit(rho) -> bool:
 def run_sweep(grid: SweepGrid) -> list[ReportRow]:
     """One row per grid point, in deterministic lexicographic grid order.
 
-    Points are evaluated Gamma-major: one ``lossy_5050(Gamma)`` spec is alive at a time
-    and is passed to every point of its Gamma, so its blocks and loss tables are built
-    once; the rows are put back in grid order."""
-    n_gamma, n_drive = len(grid.gamma_bs), len(grid.drive)
-    rows = [None] * (len(grid.eta) * n_gamma * n_drive)
-    for j, gamma in enumerate(grid.gamma_bs):
-        bs = BeamSplitterSpec.lossy_5050(gamma)
-        for (i, eta), (k, drive) in itertools.product(enumerate(grid.eta), enumerate(grid.drive)):
-            rows[(i * n_gamma + j) * n_drive + k] = evaluate_point(eta, gamma, drive, bs=bs)
-    return rows
+    Every point of one Gamma is passed the same ``lossy_5050(Gamma)`` spec, so its blocks
+    and loss tables are built once."""
+    specs = {g: BeamSplitterSpec.lossy_5050(g) for g in grid.gamma_bs}
+    return [evaluate_point(eta, g, drive, bs=specs[g]) for eta, g, drive in grid.points()]
 
 
 def format_float(value: float) -> str:

@@ -63,10 +63,9 @@ def two_mode_unitary_matrix(v, cutoff1, cutoff2):
     return pair_matrix(_blockwise_passive(v, cutoff1, cutoff2))
 
 
-def batch_states(op, slices):
-    """The pair indices of a batch's blocks, one row per block, read through its slices."""
-    pair = np.arange(math.prod(op.dims))
-    return np.array([pair[s] for s in slices])
+def block_states(op, s):
+    """The pair indices of a block's states, read through its slice."""
+    return np.arange(math.prod(op.dims))[s]
 
 
 def random_physical_specs(count, seed=11):
@@ -211,10 +210,11 @@ def test_passive_build_retained_blocks_stay_unitary(cutoff):
     w, _, _ = np.linalg.svd(BeamSplitterSpec.lossy_5050(0.02).scattering_matrix)
     op = _blockwise_passive(w, cutoff, cutoff)
     retained = []
-    for slices, blocks in op.batches:
-        index = batch_states(op, slices)
-        totals = index[:, 0] // (cutoff + 1) + index[:, 0] % (cutoff + 1)
-        retained += [(int(n), block) for n, block in zip(totals, blocks) if n <= cutoff]
+    for s, block in op.blocks:
+        index = block_states(op, s)
+        total = index[0] // (cutoff + 1) + index[0] % (cutoff + 1)
+        if total <= cutoff:
+            retained.append((int(total), block))
     assert sorted(n for n, _ in retained) == list(range(cutoff + 1))
     for n, block in retained:
         defect = np.max(np.abs(block.conj().T @ block - np.eye(n + 1)))
@@ -230,7 +230,7 @@ def test_passive_build_rejects_non_unitary_matrix():
 
 @pytest.mark.parametrize("cutoffs", [(3, 6), (6, 2)])
 def test_passive_build_at_unequal_cutoffs_matches_expm_reference(cutoffs):
-    # unequal cutoffs give several truncated blocks of one size, built in one batch
+    # unequal cutoffs give several truncated blocks of one size
     from .reference import fock_unitary_from_2x2
 
     reg = ModeRegister(("x", "y"), cutoffs)
@@ -281,9 +281,9 @@ def test_passive_build_closed_form_log_edge_cases(name, cutoffs):
     mine = pair_matrix(op)
     ref = fock_unitary_from_2x2(v, *reg.dims)
     assert np.max(np.abs(mine - ref)[np.ix_(retained, retained)]) < 1e-10
-    for _, blocks in op.batches:
-        eye = np.eye(blocks.shape[-1])
-        assert np.max(np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - eye)) <= 1e-13
+    for _, block in op.blocks:
+        eye = np.eye(block.shape[-1])
+        assert np.max(np.abs(block.conj().T @ block - eye)) <= 1e-13
     if name == "near-diagonal":
         # eigenphases 0.3 and -0.7: both logs take the same branch, so the
         # truncated blocks agree too
@@ -312,15 +312,15 @@ def test_recurrence_blocks_match_expm_reference_and_stay_unitary(name, cutoff):
     v = recurrence_cases()[name]
     own = np.linalg.norm(v.conj().T @ v - np.eye(2), 2)
     op = _blockwise_passive(v, cutoff, cutoff, top=cutoff)
-    assert len(op.batches) == cutoff + 1
+    assert len(op.blocks) == cutoff + 1
     for n in range(cutoff + 1) if cutoff == 26 else (0, 1, cutoff // 2, cutoff):
-        slices, blocks = op.batches[n]
-        index = batch_states(op, slices)
+        s, block = op.blocks[n]
+        index = block_states(op, s)
         i = np.arange(n + 1)
-        assert np.array_equal(index, [i * (cutoff + 1) + n - i])
-        defect = np.max(np.abs(blocks[0].conj().T @ blocks[0] - np.eye(n + 1)))
+        assert np.array_equal(index, i * (cutoff + 1) + n - i)
+        defect = np.max(np.abs(block.conj().T @ block - np.eye(n + 1)))
         assert defect <= 1e-13 + n * own, f"block {n}: unitarity defect {defect:.2e}"
-        assert np.max(np.abs(blocks[0] - fock_block_from_2x2(v, n))) <= 1e-12, f"block {n}"
+        assert np.max(np.abs(block - fock_block_from_2x2(v, n))) <= 1e-12, f"block {n}"
 
 
 @pytest.mark.parametrize("top", [0, 2, 4, 6, 9])
@@ -385,9 +385,9 @@ def test_splitter_store_is_read_only_and_equals_fresh_builds():
         fresh = _blockwise_passive(v, 6, 6)
         assert len(ladder) == 7
         for n, block in enumerate(ladder):
-            assert np.array_equal(block, fresh.batches[n][1])
+            assert np.array_equal(block, fresh.blocks[n][1])
             with pytest.raises(ValueError, match="read-only"):
-                block[0, 0, 0] = 0
+                block[0, 0] = 0
     for tau in store.taus:
         table = store.loss_table(tau, 3)
         assert np.array_equal(table, _loss_table(tau, 3))
@@ -420,7 +420,7 @@ def test_scissors_splitter_build_and_lift_peak_memory():
 @pytest.mark.parametrize("extra", [0, 2, None])
 def test_strided_blocks_match_expm_reference_through_the_embedding(cutoffs, extra):
     # tops at the smaller cutoff (recurrence blocks only), two above it, and the full
-    # operator; unequal cutoffs put several truncated blocks of one size in a batch.
+    # operator; unequal cutoffs give several truncated blocks of one size.
     # The pair (z, x) is reversed and not adjacent.  Eigenphases inside (-pi/2, pi/2)
     # put both logs on one branch, so the truncated blocks agree with the reference
     c_z, c_x = cutoffs
@@ -431,8 +431,6 @@ def test_strided_blocks_match_expm_reference_through_the_embedding(cutoffs, extr
     near_identity = (v * np.exp(-1j * rng.uniform(-1.5, 1.5, 2))) @ v.conj().T
     top = c_z + c_x if extra is None else min(cutoffs) + extra
     op = _blockwise_passive(near_identity, c_z, c_x, top)
-    sizes = [len(slices) for slices, _ in op.batches]
-    assert max(sizes) == max(1, min(top, max(cutoffs)) - min(cutoffs))  # full-width truncated blocks
     occ = reg.occupations()
     psi = rng.normal(size=(reg.dim, 3)) + 1j * rng.normal(size=(reg.dim, 3))
     psi[occ[:, iz] + occ[:, ix] > top] = 0.0
@@ -459,11 +457,11 @@ def random_block_operator(dims, seed):
     complex blocks."""
     rng = np.random.default_rng(seed)
     skeleton = _blockwise_passive(BeamSplitterSpec.ideal_5050().scattering_matrix, dims[0] - 1, dims[1] - 1)
-    batches = tuple(
-        (index, rng.normal(size=blocks.shape) + 1j * rng.normal(size=blocks.shape))
-        for index, blocks in skeleton.batches
+    blocks = tuple(
+        (s, rng.normal(size=block.shape) + 1j * rng.normal(size=block.shape))
+        for s, block in skeleton.blocks
     )
-    return PairOperator(skeleton.dims, batches)
+    return PairOperator(skeleton.dims, blocks)
 
 
 @pytest.mark.parametrize("modes", [("z", "x"), ("x", "z"), ("s", "z"), ("z", "s"), ("x", "s")])
@@ -525,6 +523,20 @@ def test_attenuator_on_vacuum_mode_rescales_rows_and_keeps_columns(tau):
     out = _attenuate(FactoredState(reg, psi), "b", tau)
     assert out.rank == 3
     assert np.max(np.abs(out.to_density().matrix - expected)) <= 1e-13
+
+
+def test_splitter_with_a_lossless_singular_value_matches_the_dense_reference():
+    # Gamma = Omega = 0.48: the noise covariance is singular and the first loss step has
+    # tau = 1, where A_0 is the identity
+    from .reference import apply_lossy_bs
+
+    spec = BeamSplitterSpec(0.6, 0.4)
+    assert spec.store.taus[0] == 1.0 and spec.store.taus[1] == pytest.approx(0.04, abs=1e-15)
+    reg = ModeRegister(("a", "b"), (3, 3))
+    rho = random_retained_state(reg, seed=23, block_max=3)  # totals <= 3: nothing truncated
+    out = apply_bs_channel(FactoredState.from_state(rho), ("a", "b"), spec).to_density().matrix
+    ref = apply_lossy_bs(rho.matrix, [4, 4], (0, 1), spec.t, spec.r)
+    assert np.max(np.abs(out - ref)) <= 1e-12
 
 
 # ---------------------------------------------------------------- displacements

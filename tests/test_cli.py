@@ -105,6 +105,38 @@ def test_evaluate_point_makes_no_eigh_call_inside_the_splitter_build(monkeypatch
     assert not [names for names in callers if "_blockwise_passive" in names]
 
 
+def test_no_package_entry_path_builds_a_truncated_block(monkeypatch):
+    # every register the stages build is padded so that the totals a splitter meets lie
+    # within both cutoffs: the package runs on recurrence blocks and exact phases alone
+    from qscissors import channels
+    from qscissors.apparatus import (
+        QubitAmplitudes,
+        ScissorsConfig,
+        TeleportConfig,
+        full_pipeline,
+        run_scissors,
+        run_teleport,
+    )
+    from qscissors.channels import DetectorSpec
+    from qscissors.fock import CoherentDrive
+
+    def refuse(*args):
+        raise AssertionError("a truncated block was built")
+
+    monkeypatch.setattr(channels, "_truncated_blocks", refuse)
+    # at drive 100 the (1, 0) pattern underflows: exit 1, after both scissors splitters ran
+    for argv, code in ((["sweep"], 0), (["bell-check"], 0), (["pipeline", "--drive", "100"], 1)):
+        assert main(argv) == code, argv
+    lossy, counters = BeamSplitterSpec.lossy_5050(0.1), DetectorSpec(0.7)
+    stage = dict(bs1=lossy, bs2=lossy, detectors=counters)
+    run_scissors(ScissorsConfig(drive=CoherentDrive(1.5), clicks=(3, 5), **stage))
+    run_scissors(ScissorsConfig(drive=CoherentDrive(0.8), output_cutoff=2, **stage))
+    for clicks in ((1, 1), (2, 0)):
+        run_teleport(TeleportConfig(input_state=QubitAmplitudes(0.6, 0.8), clicks=clicks, **stage))
+    unbalanced = BeamSplitterSpec(0.6, 0.5j)
+    full_pipeline(ScissorsConfig(drive=CoherentDrive(0.4 - 0.7j), bs1=unbalanced, bs2=unbalanced, detectors=counters))
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -333,8 +365,8 @@ def test_evaluate_point_refuses_a_spec_of_another_gamma():
 
 
 def test_sweep_peak_memory_is_that_of_its_largest_point(monkeypatch):
-    # one spec is alive at a time and a ladder is shared, not copied per top, so
-    # the blocks and tables a sweep keeps are those its largest point builds alone
+    # one spec per Gamma serves all its points and a ladder is shared, not copied per
+    # top, so the blocks and tables a sweep keeps are those its largest point builds alone
     def store_bytes(spec):
         store = spec.store
         ladders = sum(block.nbytes for ladder in store.ladders for block in ladder)
@@ -499,14 +531,14 @@ BOUNDARY_TABLE = [
     pytest.param(["scissors", "--drive", "20", "--config", '{"clicks": [201, 201]}'], 0, None, id="clicks-201"),
     pytest.param(
         ["scissors", "--config", '{"clicks": [0, 202]}'],
-        1,
-        r"run error: clicks must lie in \[0, 201\], got 202$",
+        2,
+        r"config error: clicks: must lie in \[0, 201\], got 202$",
         id="clicks-202",
     ),
     pytest.param(
         ["scissors", "--config", '{"clicks": [1000000, 0]}'],
-        1,
-        r"run error: clicks must lie in \[0, 201\], got 1000000$",
+        2,
+        r"config error: clicks: must lie in \[0, 201\], got 1000000$",
         id="clicks-1e6",
     ),
     pytest.param(["pipeline", "--ratio", "0"], 2, r"config error: ratio", id="ratio-0"),
