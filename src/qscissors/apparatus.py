@@ -45,6 +45,8 @@ from .fock import (
 # the largest counter reading a run accepts: a fixed, documented limit of the config surface, not a
 # memory bound, since the clicked row costs the same at every reading (``_displaced_clicks``)
 MAX_CLICKS = 201
+# the cutoff run_teleport pads (b, c) to, and so its largest counter reading: two photons at most
+TELEPORT_CUTOFF = 2
 _IDEAL_COUNTER = DetectorSpec(1.0)
 
 
@@ -236,7 +238,7 @@ def run_teleport(config: TeleportConfig) -> RunResult:
     target = config.target if config.target is not None else default_target
     if target is None:
         raise ValueError("a target is required when the input is a density operator")
-    rho, diagnostics = _propagate(("a", "b", "c"), 1, 2, rho_c, config)
+    rho, diagnostics = _propagate(("a", "b", "c"), 1, TELEPORT_CUTOFF, rho_c, config)
     events = [("b", config.detectors, config.clicks[0]), ("c", config.detectors, config.clicks[1])]
     state, probability = postselect(rho, events)
     return RunResult(state, probability, fidelity(state, target), target, diagnostics)

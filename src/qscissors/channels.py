@@ -9,10 +9,10 @@ Three models live here:
   truncated block is the exponential of its own truncated generator.  A splitter
   acting on a state is built only up to the largest total photon number the
   state occupies on its two modes, from blocks its spec keeps for every later
-  call (``SplitterStore``).  A block operator acts on a register by
+  call (``BeamSplitterSpec.ladders``).  A block operator acts on a register by
   moving its two modes last and multiplying each block into the amplitudes it
   touches; no register-sized operator is built;
-* lossy beam splitters as CPTP channels, through the SVD
+* lossy beam splitters as CPTP channels, through the closed-form SVD
   S = W diag(s) X^dag: a passive unitary, single-mode loss of transmissivity
   s_i^2, and a second passive unitary.  With the environment in vacuum this is
   the channel of every unitary dilation with noise covariance
@@ -80,6 +80,7 @@ class BeamSplitterSpec:
     def __post_init__(self):
         object.__setattr__(self, "t", complex(self.t))
         object.__setattr__(self, "r", complex(self.r))
+        object.__setattr__(self, "_tables", {})  # loss tables by tau (``loss_table``)
         if self.gamma < -PSD_TOL:
             raise ValueError(f"|t|^2 + |r|^2 = {1 - self.gamma} exceeds 1: spec is unphysical")
         if self.gamma < abs(self.omega) - PSD_TOL:
@@ -115,47 +116,42 @@ class BeamSplitterSpec:
     def scattering_matrix(self) -> np.ndarray:
         return np.array([[self.t, self.r], [self.r, self.t]])
 
-    @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """S = W diag(s) X^dag as (W, s, X^dag), computed once per spec."""
-        return np.linalg.svd(self.scattering_matrix)
-
-    @cached_property
-    def store(self) -> "SplitterStore":
-        """Blocks and loss tables shared by every call of this splitter; they only grow, and
-        live as long as this spec (see ``SplitterStore``)."""
-        return SplitterStore(self)
-
     @property
     def is_lossless(self) -> bool:
         return self.gamma <= LOSSLESS_TOL
 
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """The passive matrices the channel applies in turn: S when lossless, else X^dag and
+        then W of S = W diag(s) X^dag, in closed form from S = H diag(l) H (H the Hadamard
+        matrix, l = (t + r, t - r)): P sorts s = |l| descending, X^dag = P H, W = H diag(l/|l|) P^T.
+        Equal singular values (S = s U, every balanced splitter) take X^dag = I and W = S / s,
+        which keeps a zero Hong-Ou-Mandel amplitude t^2 + r^2 of S exactly zero."""
+        if self.is_lossless:
+            return (self.scattering_matrix,)
+        lam = (self.t + self.r, self.t - self.r)
+        s = [abs(z) for z in lam]
+        if s[0] == s[1]:
+            return (np.eye(2), self.scattering_matrix / s[0] if s[0] else np.eye(2))
+        hadamard, perm = np.array([[1, 1], [1, -1]]) / math.sqrt(2), np.eye(2)[:: 1 if s[0] > s[1] else -1]
+        phases = np.diag([z / abs(z) if z else 1.0 for z in lam])
+        return (perm @ hadamard, hadamard @ phases @ perm.T)
 
-class SplitterStore:
-    """What every call of one splitter rebuilds from the spec alone, built on first use.
+    @cached_property
+    def taus(self) -> tuple[float, ...]:
+        """The loss step's transmissivities s_i^2 = |t +- r|^2, descending as in ``factors``."""
+        taus = sorted((abs(self.t + self.r) ** 2, abs(self.t - self.r) ** 2), reverse=True)
+        return () if self.is_lossless else tuple(min(tau, 1.0) for tau in taus)
 
-    ``factors`` are the passive matrices the channel applies in turn (S when lossless;
-    X^dag, then W when lossy), and ``ladders[i]`` holds the within-cutoff blocks B_0..B_n of
-    ``factors[i]``, which ``_blockwise_passive`` extends only as far as a call's top needs (a
-    diagonal factor keeps its exact phases and needs none).
-    ``taus`` are the loss step's transmissivities s_i^2 in closed form: S = [[t, r], [r, t]]
-    = H diag(t + r, t - r) H with H the Hadamard matrix, so s_i = |t +- r|, sorted as ``svd``
-    sorts them (a balanced splitter's two are then equal bit for bit); ``loss_table`` keeps one table
-    A_k(n) per tau, grown to the largest mode size asked for (at least LOSS_TABLE_MIN_SIZE),
-    and hands out its top-left corner, which is bit for bit the table of the smaller size.
-    Nothing is rebuilt or dropped while the spec lives, and every stored array is read-only."""
-
-    def __init__(self, spec: BeamSplitterSpec):
-        if spec.is_lossless:
-            self.factors, self.taus = (spec.scattering_matrix,), ()
-        else:
-            w, _, xh = spec.svd
-            taus = sorted((abs(spec.t + spec.r) ** 2, abs(spec.t - spec.r) ** 2), reverse=True)
-            self.factors, self.taus = (xh, w), tuple(min(tau, 1.0) for tau in taus)
-        self.ladders = tuple([_LADDER_ROOT] for _ in self.factors)
-        self._tables = {}
+    @cached_property
+    def ladders(self) -> tuple[list, ...]:
+        """Per factor, its within-cutoff blocks B_0..B_n (none used by a diagonal factor), which
+        ``_blockwise_passive`` extends in place as far as a call needs; read-only, never dropped."""
+        return tuple([_LADDER_ROOT] for _ in self.factors)
 
     def loss_table(self, tau: float, d: int) -> np.ndarray:
+        """[A, A^2] at ``tau`` for a mode of size d: the top-left corner, bit for bit the smaller
+        table, of one table per tau grown to the largest size asked (at least LOSS_TABLE_MIN_SIZE)."""
         table = self._tables.get(tau)
         if table is None or table.shape[-1] < d:
             table = self._tables[tau] = _loss_table(tau, max(d, LOSS_TABLE_MIN_SIZE))
@@ -231,7 +227,7 @@ class LiftedPairOperator:
 def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | None = None, ladder=None) -> PairOperator:
     """Block operator of a unitary V on the totals n <= ``top`` (every total when None);
     the other totals map to zero, so for top < cutoff1 + cutoff2 it is P_(<=top) U.
-    ``ladder`` is V's list of blocks B_0.. (``SplitterStore.ladders``), extended in place as
+    ``ladder`` is V's list of blocks B_0.. (``BeamSplitterSpec.ladders``), extended in place as
     far as this call needs; without one the blocks are built for this call only.
 
     A block with n within both cutoffs is the n-photon representation of V, built from
@@ -374,19 +370,18 @@ def apply_bs_channel(rho: FactoredState, modes: tuple[str, str], spec: BeamSplit
     """Send two modes of a factor through a (possibly lossy) beam splitter,
     tracing the environment immediately; returns a factor.
 
-    Lossless specs apply the exact block unitary.  Lossy specs use the SVD
-    S = W diag(s) X^dag: a passive unitary, single-mode attenuators of
-    transmissivity s_i^2, and a second passive unitary; with a vacuum
-    environment this is the explicit dilation's channel (it only depends on
-    S).  Blocks and loss tables come from ``spec.store``, which later calls
-    with the same spec extend instead of rebuilding.
+    Lossless specs apply the exact block unitary.  Lossy specs use the
+    closed-form SVD S = W diag(s) X^dag (``BeamSplitterSpec.factors``): a
+    passive unitary, single-mode attenuators of transmissivity s_i^2, and a
+    second passive unitary; with a vacuum environment this is the explicit
+    dilation's channel (it only depends on S).  Blocks and loss tables come
+    from the spec, and later calls with it extend them instead of rebuilding.
     """
-    store = spec.store
-    state = _passive(rho, store.factors[0], modes, store.ladders[0])
+    state = _passive(rho, spec.factors[0], modes, spec.ladders[0])
     if not spec.is_lossless:
-        for label, tau in zip(modes, store.taus):
-            state = _attenuate(state, label, tau, store)
-        state = _passive(state, store.factors[1], modes, store.ladders[1])
+        for label, tau in zip(modes, spec.taus):
+            state = _attenuate(state, label, tau, spec)
+        state = _passive(state, spec.factors[1], modes, spec.ladders[1])
     return state
 
 
@@ -414,17 +409,17 @@ def _loss_table(tau: float, d: int) -> np.ndarray:
     return table
 
 
-def _attenuate(state: FactoredState, label: str, tau: float, store: SplitterStore | None = None) -> FactoredState:
+def _attenuate(state: FactoredState, label: str, tau: float, spec: BeamSplitterSpec | None = None) -> FactoredState:
     """Loss A_k |n> = sqrt(C(n,k) tau^(n-k) (1-tau)^k) |n-k> on one mode: the
     branches A_k psi, bar those below COMPRESSION_TOL, are stacked as columns
     and re-compressed; dropped weight goes to ``compression_error``.  The table
-    A_k(n) comes from ``store`` when given."""
+    A_k(n) comes from ``spec.loss_table`` when a spec is given."""
     reg = state.register
     pos = reg.position(label)
     d = reg.dims[pos]
     post = reg.strides[pos]
     amps = state.amplitudes.reshape(-1, d, post, state.rank)
-    amp_k, weight = store.loss_table(tau, d) if store is not None else _loss_table(tau, d)
+    amp_k, weight = spec.loss_table(tau, d) if spec is not None else _loss_table(tau, d)
     parts = np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, d, 2 * post * state.rank)
     branch_weight = (weight @ np.einsum("ijk,ijk->j", parts, parts)).tolist()
     floor = COMPRESSION_TOL * sum(branch_weight)

@@ -34,6 +34,7 @@ from .analytic import (
 )
 from .apparatus import (
     MAX_CLICKS,
+    TELEPORT_CUTOFF,
     QubitAmplitudes,
     ScissorsConfig,
     TeleportConfig,
@@ -328,7 +329,7 @@ def evaluate_point(
 
     ``bs`` is the point's splitter, ``BeamSplitterSpec.lossy_5050(gamma_bs)``, given so
     that points of one Gamma share its stored blocks and loss tables (see
-    ``BeamSplitterSpec.store``); any other spec is a ValueError.  Without it the point
+    ``BeamSplitterSpec.ladders``); any other spec is a ValueError.  Without it the point
     builds its own."""
     if bs is None:
         bs = BeamSplitterSpec.lossy_5050(gamma_bs)
@@ -527,6 +528,8 @@ def main(argv=None) -> int:
         for key in merged:
             if key not in COMMAND_KEYS[args.command]:
                 raise ConfigError(f"{args.command} does not read {key!r}")
+        if args.command == "teleport" and max(cfg["clicks"]) > TELEPORT_CUTOFF:
+            raise ConfigError(f"clicks: teleport counts must lie in [0, {TELEPORT_CUTOFF}], got {max(cfg['clicks'])}")
         if args.command in ("scissors", "teleport"):
             return _cmd_single(args.command, cfg)
         return _cmd_sweep(cfg) if args.command == "sweep" else _cmd_pipeline(cfg)

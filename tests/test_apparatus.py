@@ -19,6 +19,7 @@ from qscissors.apparatus import (
     run_teleport,
 )
 from qscissors.channels import BeamSplitterSpec, DetectorSpec, ImpossibleOutcomeError
+from qscissors.cli import main
 from qscissors.fock import CoherentDrive, fidelity
 
 from .reference import (
@@ -37,6 +38,7 @@ from .reference import (
     reconstruct_joint,
     reference_scissors,
 )
+from .test_invariants import _mixed_input
 
 SQ2 = math.sqrt(2)
 
@@ -292,6 +294,36 @@ def test_teleport_density_input_on_another_mode_is_refused():
 def test_teleport_missing_input_rejected():
     with pytest.raises(ValueError, match="input_state"):
         run_teleport(TeleportConfig())
+
+
+HOM_INPUTS = {"pure": QubitAmplitudes(0.6, 0.8j), "mixed": _mixed_input()}
+
+
+def _coincidence(spec, eta, state):
+    target = QubitAmplitudes(0.6, 0.8j).as_vector("a")
+    config = TeleportConfig(input_state=state, bs1=spec, bs2=spec, detectors=DetectorSpec(eta), clicks=(1, 1), target=target)
+    return run_teleport(config)
+
+
+@pytest.mark.parametrize("kind", sorted(HOM_INPUTS))
+@pytest.mark.parametrize("eta", [0.3, 1.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.02, 0.1, 0.5, 0.9])
+def test_balanced_splitter_refuses_the_coincidence_at_every_damping(gamma, eta, kind):
+    # Hong-Ou-Mandel: through S = s U with U the balanced 50/50 unitary, two photons on (b, c)
+    # leave by one port, t^2 + r^2 = 0, so the (1, 1) pattern is impossible at every Gamma
+    with pytest.raises(ImpossibleOutcomeError):
+        _coincidence(BeamSplitterSpec.lossy_5050(gamma), eta, HOM_INPUTS[kind])
+    if kind == "pure":
+        argv = ["teleport", "--gamma", str(gamma), "--eta", str(eta), "--config", '{"clicks": [1, 1]}']
+        assert main(argv) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(HOM_INPUTS))
+def test_equal_singular_values_alone_do_not_refuse_the_coincidence(kind):
+    # S S^dag = s^2 I as for lossy_5050, but t^2 + r^2 = 0.11: the (1, 1) pattern runs
+    spec = BeamSplitterSpec(0.6, 0.5j)
+    assert spec.taus[0] == spec.taus[1]
+    assert _coincidence(spec, 1.0, HOM_INPUTS[kind]).probability > 1e-4
 
 
 # ---------------------------------------------------------------- pipeline

@@ -205,9 +205,9 @@ def test_general_passive_matrix_matches_expm_reference():
 
 @pytest.mark.parametrize("cutoff", [26, 37, 52, 87])
 def test_passive_build_retained_blocks_stay_unitary(cutoff):
-    # the SVD factor the lossy channel applies; the blocks are read straight
+    # the W factor the lossy channel applies; the blocks are read straight
     # from the block operator (a dense cutoff-87 matrix would need 960 MB)
-    w, _, _ = np.linalg.svd(BeamSplitterSpec.lossy_5050(0.02).scattering_matrix)
+    w = BeamSplitterSpec.lossy_5050(0.02).factors[1]
     op = _blockwise_passive(w, cutoff, cutoff)
     retained = []
     for s, block in op.blocks:
@@ -249,6 +249,7 @@ def test_passive_build_at_unequal_cutoffs_matches_expm_reference(cutoffs):
 
 @pytest.mark.parametrize("cutoffs", [(3, 6), (6, 2)])
 def test_passive_build_of_diagonal_matrix_is_exact_phases(cutoffs):
+    # numpy's SVD of a balanced splitter has a diagonal X^dag with a sign, diag(-1, 1)
     _, _, xh = np.linalg.svd(BeamSplitterSpec.lossy_5050(0.1).scattering_matrix)
     m, n = np.divmod(np.arange((cutoffs[0] + 1) * (cutoffs[1] + 1)), cutoffs[1] + 1)
     for v in (np.diag([1j, -1]), xh):
@@ -262,7 +263,7 @@ def closed_form_log_cases():
     """Unitaries at the edges of the closed-form log h = i log V."""
     cases = {}
     for gamma in (0.02, 0.1, 0.137, 0.2):
-        # the SVD factor the lossy channel applies; its trace is zero at the
+        # numpy's SVD factor W of a balanced splitter; its trace is zero at the
         # first three, so the sign rule Re tr(V / c) >= 0 sits on its boundary
         cases[f"W(Gamma={gamma})"] = np.linalg.svd(BeamSplitterSpec.lossy_5050(gamma).scattering_matrix)[0]
     cases["reflection"] = np.array([[0.6, 0.8], [0.8, -0.6]])  # det V = -1, real dtype
@@ -293,7 +294,7 @@ def test_passive_build_closed_form_log_edge_cases(name, cutoffs):
 def recurrence_cases():
     """The W factor of a lossy splitter, the ideal 50/50 splitter and three random unitaries."""
     cases = {
-        "W": np.linalg.svd(BeamSplitterSpec.lossy_5050(0.1).scattering_matrix)[0],
+        "W": BeamSplitterSpec.lossy_5050(0.1).factors[1],
         "ideal 50/50": BeamSplitterSpec.ideal_5050().scattering_matrix,
     }
     rng = np.random.default_rng(21)
@@ -363,35 +364,52 @@ UNBALANCED_SPECS = [BeamSplitterSpec(0.7, 0.1), BeamSplitterSpec(0.3, 0.8j)]
 @pytest.mark.parametrize("spec", [BeamSplitterSpec.lossy_5050(0.02)] + UNBALANCED_SPECS + random_physical_specs(6, seed=17))
 def test_store_transmissivities_are_the_squared_singular_values(spec):
     # the closed form |t +- r|^2, in svd's descending order
-    assert np.max(np.abs(np.array(spec.store.taus) - np.linalg.svd(spec.scattering_matrix)[1] ** 2)) <= 1e-15
-    assert list(spec.store.taus) == sorted(spec.store.taus, reverse=True)
+    assert np.max(np.abs(np.array(spec.taus) - np.linalg.svd(spec.scattering_matrix)[1] ** 2)) <= 1e-15
+    assert list(spec.taus) == sorted(spec.taus, reverse=True)
 
 
 def test_balanced_splitter_transmissivities_are_equal_bit_for_bit():
     for gamma in (0.02, 0.1, 0.137, 0.5):
-        taus = BeamSplitterSpec.lossy_5050(gamma).store.taus
+        taus = BeamSplitterSpec.lossy_5050(gamma).taus
         assert taus[0] == taus[1]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [BeamSplitterSpec.lossy_5050(0.1), BeamSplitterSpec(0.6, 0.5j), BeamSplitterSpec(0.5, 0.5)]
+    + UNBALANCED_SPECS
+    + random_physical_specs(6, seed=17),
+)
+def test_closed_form_factors_are_an_svd_of_the_scattering_matrix(spec):
+    # S = W diag(s) X^dag with W and X^dag unitary and s^2 = taus; equal singular values
+    # (t r* + r t* = 0) give X^dag = I and W = S / s exactly.  (0.5, 0.5) has s = (1, 0)
+    xh, w = spec.factors
+    s = np.sqrt(spec.taus)
+    assert np.max(np.abs(w * s @ xh - spec.scattering_matrix)) <= 1e-15
+    for v in (w, xh):
+        assert np.max(np.abs(v @ v.conj().T - np.eye(2))) <= 1e-15
+    if spec.omega == 0:
+        assert np.array_equal(xh, np.eye(2)) and np.array_equal(w, spec.scattering_matrix / s[0])
+
+
 def test_splitter_store_is_read_only_and_equals_fresh_builds():
-    # after one lossy call: every stored block equals a build without a store, the
+    # after one lossy call: every block the spec keeps equals a build without a ladder, the
     # small loss table is the grown one's corner bit for bit, and nothing is writable.
-    # Unlike lossy_5050, whose X^dag is diagonal, this spec has two non-diagonal factors
+    # Unlike lossy_5050, whose X^dag is the identity, this spec has two non-diagonal factors
     spec = BeamSplitterSpec(0.7, 0.1)
     reg = ModeRegister(("a", "b"), (6, 6))
     apply_bs_channel(FactoredState.from_state(basis_ket(reg, (1, 5))), ("a", "b"), spec)
-    store = spec.store
-    for v, ladder in zip(store.factors, store.ladders):
+    for v, ladder in zip(spec.factors, spec.ladders):
         fresh = _blockwise_passive(v, 6, 6)
         assert len(ladder) == 7
         for n, block in enumerate(ladder):
             assert np.array_equal(block, fresh.blocks[n][1])
             with pytest.raises(ValueError, match="read-only"):
                 block[0, 0] = 0
-    for tau in store.taus:
-        table = store.loss_table(tau, 3)
+    for tau in spec.taus:
+        table = spec.loss_table(tau, 3)
         assert np.array_equal(table, _loss_table(tau, 3))
-        for stored in (table, store.loss_table(tau, 7)):
+        for stored in (table, spec.loss_table(tau, 7)):
             with pytest.raises(ValueError, match="read-only"):
                 stored[0, 0, 0] = 0
 
@@ -401,7 +419,7 @@ def test_scissors_splitter_build_and_lift_peak_memory():
     # per lifted entry and build, lift and one application to a rank-11 factor
     # peak near 12; a register-sized CSR lift (39 at its leanest) would exceed
     # the bound
-    w, _, _ = np.linalg.svd(BeamSplitterSpec.lossy_5050(0.1).scattering_matrix)
+    w = BeamSplitterSpec.lossy_5050(0.1).factors[1]
     reg = ModeRegister(("c", "d", "e"), (1, 101, 101))
     rng = np.random.default_rng(5)
     psi = rng.normal(size=(reg.dim, 11)) + 1j * rng.normal(size=(reg.dim, 11))
@@ -531,7 +549,7 @@ def test_splitter_with_a_lossless_singular_value_matches_the_dense_reference():
     from .reference import apply_lossy_bs
 
     spec = BeamSplitterSpec(0.6, 0.4)
-    assert spec.store.taus[0] == 1.0 and spec.store.taus[1] == pytest.approx(0.04, abs=1e-15)
+    assert spec.taus[0] == 1.0 and spec.taus[1] == pytest.approx(0.04, abs=1e-15)
     reg = ModeRegister(("a", "b"), (3, 3))
     rho = random_retained_state(reg, seed=23, block_max=3)  # totals <= 3: nothing truncated
     out = apply_bs_channel(FactoredState.from_state(rho), ("a", "b"), spec).to_density().matrix

@@ -77,12 +77,23 @@ def count_linalg_calls(monkeypatch) -> list:
 
 
 def test_evaluate_point_lapack_budget(monkeypatch):
-    # one point: 1 SVD for the shared lossy splitter spec, no LAPACK call for
-    # the splitter blocks (a recurrence builds them), and one eigh per Gram
-    # compression and teleport input factorization
+    # one point: no LAPACK call for the splitter (its SVD is in closed form and a
+    # recurrence builds its blocks), and one eigh per Gram compression and teleport
+    # input factorization
     calls = count_linalg_calls(monkeypatch)
     evaluate_point(0.7, 0.1, 0.5)
-    assert len(calls) <= 7, sorted(calls)
+    assert len(calls) <= 6, sorted(calls)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep"], ["pipeline", "--gamma", "0.1"], ["scissors", "--gamma", "0.1"], ["teleport", "--gamma", "0.1"], ["bell-check"]],
+    ids=lambda argv: argv[0],
+)
+def test_no_cli_path_calls_svd(monkeypatch, capsys, argv):
+    calls = count_linalg_calls(monkeypatch)
+    assert main(argv) == 0
+    assert "svd" not in calls and "svdvals" not in calls, sorted(calls)
 
 
 def test_evaluate_point_makes_no_eigh_call_inside_the_splitter_build(monkeypatch):
@@ -117,7 +128,7 @@ def test_no_package_entry_path_builds_a_truncated_block(monkeypatch):
         run_scissors,
         run_teleport,
     )
-    from qscissors.channels import DetectorSpec
+    from qscissors.channels import DetectorSpec, ImpossibleOutcomeError
     from qscissors.fock import CoherentDrive
 
     def refuse(*args):
@@ -131,8 +142,9 @@ def test_no_package_entry_path_builds_a_truncated_block(monkeypatch):
     stage = dict(bs1=lossy, bs2=lossy, detectors=counters)
     run_scissors(ScissorsConfig(drive=CoherentDrive(1.5), clicks=(3, 5), **stage))
     run_scissors(ScissorsConfig(drive=CoherentDrive(0.8), output_cutoff=2, **stage))
-    for clicks in ((1, 1), (2, 0)):
-        run_teleport(TeleportConfig(input_state=QubitAmplitudes(0.6, 0.8), clicks=clicks, **stage))
+    run_teleport(TeleportConfig(input_state=QubitAmplitudes(0.6, 0.8), clicks=(2, 0), **stage))
+    with pytest.raises(ImpossibleOutcomeError):  # Hong-Ou-Mandel: both splitters balanced
+        run_teleport(TeleportConfig(input_state=QubitAmplitudes(0.6, 0.8), clicks=(1, 1), **stage))
     unbalanced = BeamSplitterSpec(0.6, 0.5j)
     full_pipeline(ScissorsConfig(drive=CoherentDrive(0.4 - 0.7j), bs1=unbalanced, bs2=unbalanced, detectors=counters))
 
@@ -329,7 +341,7 @@ def test_balanced_splitter_keeps_one_loss_table_after_a_point():
     # the two transmissivities of lossy_5050 are equal bit for bit, so they share a table
     spec = BeamSplitterSpec.lossy_5050(0.1)
     evaluate_point(0.7, 0.1, 1.0, bs=spec)
-    assert len(spec.store._tables) == 1
+    assert len(spec._tables) == 1
 
 
 @pytest.mark.parametrize(
@@ -368,9 +380,8 @@ def test_sweep_peak_memory_is_that_of_its_largest_point(monkeypatch):
     # one spec per Gamma serves all its points and a ladder is shared, not copied per
     # top, so the blocks and tables a sweep keeps are those its largest point builds alone
     def store_bytes(spec):
-        store = spec.store
-        ladders = sum(block.nbytes for ladder in store.ladders for block in ladder)
-        return ladders + sum(table.nbytes for table in store._tables.values())
+        ladders = sum(block.nbytes for ladder in spec.ladders for block in ladder)
+        return ladders + sum(table.nbytes for table in spec._tables.values())
 
     gammas, drives = (0.02, 0.1), (0.5, 2.0, 6.0)
     largest = []
@@ -387,7 +398,7 @@ def test_sweep_peak_memory_is_that_of_its_largest_point(monkeypatch):
 
     monkeypatch.setattr(BeamSplitterSpec, "lossy_5050", classmethod(recording))
     run_sweep(SweepGrid(eta=[0.7], gamma_bs=list(gammas), drive=list(drives)))
-    shared = [spec for spec in made if "store" in vars(spec)]
+    shared = [spec for spec in made if "ladders" in vars(spec)]
     assert [spec.gamma for spec in shared] == pytest.approx(list(gammas), abs=1e-15)
     assert [store_bytes(spec) for spec in shared] == largest
     assert min(largest) > 0
@@ -540,6 +551,18 @@ BOUNDARY_TABLE = [
         2,
         r"config error: clicks: must lie in \[0, 201\], got 1000000$",
         id="clicks-1e6",
+    ),
+    pytest.param(
+        ["teleport", "--config", '{"clicks": [3, 0]}'],
+        2,
+        r"config error: clicks: teleport counts must lie in \[0, 2\], got 3$",
+        id="teleport-clicks-3-0",
+    ),
+    pytest.param(
+        ["teleport", "--config", '{"clicks": [0, 3]}'],
+        2,
+        r"config error: clicks: teleport counts must lie in \[0, 2\], got 3$",
+        id="teleport-clicks-0-3",
     ),
     pytest.param(["pipeline", "--ratio", "0"], 2, r"config error: ratio", id="ratio-0"),
     pytest.param(["pipeline", "--drive", "1", "--ratio", "1"], 2, r"config error: give either", id="drive-and-ratio"),
