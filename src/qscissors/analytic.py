@@ -41,12 +41,6 @@ class NoiseParams:
         if not self.ratio_R > 0.0:
             raise ValueError(f"ratio R must be positive, got {self.ratio_R}")
 
-    @property
-    def norm_C2(self) -> float:
-        """Combined zero/one-photon weight of the drive, |C|^2 = e^(-|g|^2) (1 + |g|^2)."""
-        lam = self.gamma_amp**2
-        return math.exp(-lam) * (1.0 + lam)
-
     @classmethod
     def from_drive(cls, eta: float, gamma_bs: float, drive: CoherentDrive) -> "NoiseParams":
         return cls(

@@ -3,13 +3,15 @@
 Three models live here:
 
 * exact passive two-mode unitaries, held as one block per total photon
-  number (``PairOperator``).  A block within both mode cutoffs is the n-photon
-  representation of the 2x2 matrix, built by a two-sided photon-number
-  recurrence with no eigendecomposition (truncation can never corrupt it); a
-  truncated block is the exponential of its own truncated generator.  A splitter
-  acting on a state is built only up to the largest total photon number the
-  state occupies on its two modes, from blocks its spec keeps for every later
-  call (``BeamSplitterSpec.ladders``).  A block operator acts on a register by
+  number (``PairOperator``): the n-photon representation of the 2x2 matrix,
+  built by a two-sided photon-number recurrence with no eigendecomposition.
+  Only the totals both modes can hold are kept: a splitter would move part of
+  any larger total out of the register, so the operator maps it to zero and
+  the lost weight shows as a trace defect (callers pad with
+  ``fock.pad_cutoffs`` so that nothing is lost).  A splitter acting on a state
+  is built only up to the largest total photon number the state occupies on
+  its two modes, from blocks its spec keeps for every later call
+  (``BeamSplitterSpec.ladders``).  A block operator acts on a register by
   moving its two modes last and multiplying each block into the amplitudes it
   touches; no register-sized operator is built;
 * lossy beam splitters as CPTP channels, through the closed-form SVD
@@ -28,7 +30,6 @@ Only the post-selected conditional state leaves as a ``DensityOperator``.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import operator
@@ -225,23 +226,20 @@ class LiftedPairOperator:
 
 
 def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | None = None, ladder=None) -> PairOperator:
-    """Block operator of a unitary V on the totals n <= ``top`` (every total when None);
-    the other totals map to zero, so for top < cutoff1 + cutoff2 it is P_(<=top) U.
+    """Block operator P_(<=low) U of a unitary V on two modes: U on the totals n <= low =
+    min(cutoff1, cutoff2, ``top``) (``top`` is cutoff1 + cutoff2 when None), zero on every other
+    total, since U would move part of a total above the smaller cutoff out of the register.
     ``ladder`` is V's list of blocks B_0.. (``BeamSplitterSpec.ladders``), extended in place as
     far as this call needs; without one the blocks are built for this call only.
 
-    A block with n within both cutoffs is the n-photon representation of V, built from
-    B_0 = [[1]] by the two-sided recurrence (n + 1) B_(n+1) = (b1^dag B_n) A1^T + (b2^dag B_n) A2^T:
-    A1, A2 add a photon to mode 1 or 2, b_k^dag = sum_j V[j, k] A_j, and rows and columns
-    count the photons in mode 1.  Averaging the two ways of adding a photon keeps every
-    coefficient at most 1, as in Risbo's construction of Wigner d-functions (J. Geodesy 70,
-    383, 1996); no eigendecomposition is needed, and block n keeps about n times the float
-    unitarity defect of V itself.  A truncated block (min cutoff < n <= top) is exp(-i G)
-    on the truncated basis, G = sum_ij h_ij a_i^dag a_j, h = i log V in closed form from
-    V = c exp(-i theta n.sigma) with c = +-sqrt(det V), Re tr(V/c) >= 0 (the branch centred
-    on the determinant phase).  G is tridiagonal over the states (m, n - m), and each
-    truncated block takes its own eigendecomposition.  A diagonal V gives the exact phases
-    V00^m V11^n, each power the running product of V's entry."""
+    Block n is the n-photon representation of V, built from B_0 = [[1]] by the two-sided
+    recurrence (n + 1) B_(n+1) = (b1^dag B_n) A1^T + (b2^dag B_n) A2^T: A1, A2 add a photon to
+    mode 1 or 2, b_k^dag = sum_j V[j, k] A_j, and rows and columns count the photons in mode 1.
+    Averaging the two ways of adding a photon keeps every coefficient at most 1, as in Risbo's
+    construction of Wigner d-functions (J. Geodesy 70, 383, 1996); no eigendecomposition is
+    needed, and block n keeps about n times the float unitarity defect of V itself.  A diagonal
+    V moves no photon, so it keeps the exact phases V00^m V11^n on every total up to ``top``,
+    each power the running product of V's entry."""
     (v00, v01), (v10, v11) = np.asarray(v, dtype=complex).tolist()
     defect = max(  # the largest entry of |V V^dag - I|
         abs(abs(v00) ** 2 + abs(v01) ** 2 - 1),
@@ -262,10 +260,8 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | Non
     if len(ladder) <= low:
         _extend_ladder(v, ladder, low)
     step = dims[1] - 1 or 1  # state (i, n - i) sits at n + i (d2 - 1); any step serves d2 = 1
-    blocks = [(slice(n, n + n * step + 1, step), ladder[n]) for n in range(low + 1)]
-    if top > low:
-        blocks += _truncated_blocks((v00, v01, v10, v11), dims, low, top, step)
-    return PairOperator(dims, tuple(blocks))
+    blocks = tuple((slice(n, n + n * step + 1, step), ladder[n]) for n in range(low + 1))
+    return PairOperator(dims, blocks)
 
 
 def _extend_ladder(v: np.ndarray, ladder: list, low: int):
@@ -285,28 +281,6 @@ def _extend_ladder(v: np.ndarray, ladder: list, low: int):
         block /= n
         block.flags.writeable = False
         ladder.append(block)
-
-
-def _truncated_blocks(v, dims: tuple[int, int], low: int, top: int, step: int) -> list:
-    """The blocks exp(-i G) of the totals low < n <= top (see ``_blockwise_passive``), one per
-    total, each on the slice of its states, ``step`` apart."""
-    v00, v01, v10, v11 = v
-    c = cmath.sqrt(v00 * v11 - v01 * v10)
-    c = c if ((v00 + v11) / c).real >= 0 else -c
-    alpha, beta = (v00 / c + (v11 / c).conjugate()) / 2, (v01 / c - (v10 / c).conjugate()) / 2
-    sin = math.hypot(alpha.imag, abs(beta))  # alpha = cos theta - i sin theta n_z
-    f = math.atan2(sin, alpha.real) / sin if sin else 1.0
-    h00, h11, h01 = -cmath.phase(c) - f * alpha.imag, -cmath.phase(c) + f * alpha.imag, 1j * f * beta
-    blocks = []
-    for n in range(low + 1, top + 1):
-        m = np.arange(max(0, n - dims[1] + 1), min(n, dims[0] - 1) + 1)
-        hop = h01 * np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))  # couples (m, n - m) to (m + 1, n - m - 1)
-        gen = np.diag(h00 * m + h11 * (n - m)) + np.diag(hop, -1) + np.diag(hop.conj(), 1)
-        energies, basis = np.linalg.eigh(gen)
-        first = m[0] * dims[1] + n - m[0]  # the pair index of the state of least m
-        block = (basis * np.exp(-1j * energies)) @ basis.conj().T
-        blocks.append((slice(first, first + (m.size - 1) * step + 1, step), block))
-    return blocks
 
 
 def detector_povm(det: DetectorSpec, clicks: int, cutoff: int) -> np.ndarray:
@@ -409,17 +383,17 @@ def _loss_table(tau: float, d: int) -> np.ndarray:
     return table
 
 
-def _attenuate(state: FactoredState, label: str, tau: float, spec: BeamSplitterSpec | None = None) -> FactoredState:
+def _attenuate(state: FactoredState, label: str, tau: float, spec: BeamSplitterSpec) -> FactoredState:
     """Loss A_k |n> = sqrt(C(n,k) tau^(n-k) (1-tau)^k) |n-k> on one mode: the
     branches A_k psi, bar those below COMPRESSION_TOL, are stacked as columns
     and re-compressed; dropped weight goes to ``compression_error``.  The table
-    A_k(n) comes from ``spec.loss_table`` when a spec is given."""
+    A_k(n) comes from ``spec.loss_table``."""
     reg = state.register
     pos = reg.position(label)
     d = reg.dims[pos]
     post = reg.strides[pos]
     amps = state.amplitudes.reshape(-1, d, post, state.rank)
-    amp_k, weight = spec.loss_table(tau, d) if spec is not None else _loss_table(tau, d)
+    amp_k, weight = spec.loss_table(tau, d)
     parts = np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, d, 2 * post * state.rank)
     branch_weight = (weight @ np.einsum("ijk,ijk->j", parts, parts)).tolist()
     floor = COMPRESSION_TOL * sum(branch_weight)

@@ -12,7 +12,7 @@ never mutate their inputs, so values can be shared freely across sweep workers.
 
 Inside the engine every mixed state is a low-rank factor (``FactoredState``):
 a state enters through ``FactoredState.from_state`` and leaves as a
-``DensityOperator`` through ``partial_trace`` or ``FactoredState.to_density``.
+``DensityOperator`` through ``partial_trace``.
 ``tensor``, ``pad_cutoffs`` and ``partial_trace`` take factors only; neither
 a pure vector nor the dense form is an input to them.
 
@@ -127,9 +127,6 @@ class FockVector:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def to_density(self) -> "DensityOperator":
-        return DensityOperator(self.register, np.outer(self.amplitudes, self.amplitudes.conj()))
-
     def to_json_dict(self) -> dict:
         return {
             "register": {"labels": list(self.register.labels), "cutoffs": list(self.register.cutoffs)},
@@ -222,9 +219,6 @@ class FactoredState:
         vals, vecs = np.linalg.eigh(self.amplitudes.conj().T @ self.amplitudes)
         cut, dropped = _dominant(vals)
         return FactoredState(self.register, self.amplitudes @ vecs[:, cut:], self.compression_error + dropped)
-
-    def to_density(self) -> DensityOperator:
-        return DensityOperator(self.register, self.amplitudes @ self.amplitudes.conj().T, check=False)
 
 
 def _dominant(weights: np.ndarray) -> tuple[int, float]:

@@ -12,7 +12,8 @@ algebra of the ideal teleporter and the vacuum Wick moment, oracles that only
 the tests use, also live here; they build on the package's Fock vectors and
 Bell states.  So do plain-numpy readers of the package's containers that only
 tests need: amplitudes, populations, overlaps, normalization, Kronecker products
-of pure vectors, the JSON loaders, a splitter's noise covariance, a qubit's phase
+of pure vectors, the dense form of a vector or factor, the JSON loaders, a
+splitter's noise covariance, a drive's zero/one-photon weight, a qubit's phase
 flip, and the eigenvalue check of a density operator's physicality.
 
 Imports stay absolute: the benchmark loads this file by path.  scipy is
@@ -25,9 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qscissors.analytic import NoiseParams
 from qscissors.apparatus import QubitAmplitudes, bell_states
 from qscissors.channels import PSD_TOL, BeamSplitterSpec
-from qscissors.fock import HERMITICITY_TOL, NORM_SLACK, POSITIVITY_TOL, DensityOperator, FockVector, ModeRegister
+from qscissors.fock import (
+    HERMITICITY_TOL,
+    NORM_SLACK,
+    POSITIVITY_TOL,
+    DensityOperator,
+    FactoredState,
+    FockVector,
+    ModeRegister,
+)
 
 
 def amplitude(x: FockVector, occupation: tuple) -> complex:
@@ -82,6 +92,19 @@ def overlap(x: FockVector, y: FockVector) -> complex:
 def kron(x: FockVector, y: FockVector) -> FockVector:
     """x (x) y in the package's basis order, x's modes first."""
     return FockVector(x.register.merged(y.register), np.kron(x.amplitudes, y.amplitudes))
+
+
+def to_density(state: FockVector | FactoredState) -> DensityOperator:
+    """|x><x| of a pure vector (checked), or psi psi^dag of a factor (unchecked, as the engine's)."""
+    if isinstance(state, FockVector):
+        return DensityOperator(state.register, np.outer(state.amplitudes, state.amplitudes.conj()))
+    return DensityOperator(state.register, state.amplitudes @ state.amplitudes.conj().T, check=False)
+
+
+def norm_C2(params: NoiseParams) -> float:
+    """Combined zero/one-photon weight of the drive, |C|^2 = e^(-|g|^2) (1 + |g|^2)."""
+    lam = params.gamma_amp**2
+    return math.exp(-lam) * (1.0 + lam)
 
 
 def population(rho: DensityOperator, occupation: tuple) -> float:

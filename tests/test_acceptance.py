@@ -56,6 +56,7 @@ from .reference import (
     overlap,
     phase_flipped,
     population,
+    to_density,
     wick_moment,
 )
 from .test_analytic import wick_bruteforce
@@ -151,7 +152,7 @@ def test_criterion_05_kraus_completeness_and_loss_arithmetic():
         chan = lossy_bs_kraus(spec, cutoff=2)
         assert chan.completeness_defect() < 1e-10, spec
         small = lossy_bs_kraus(spec, cutoff=1)
-        rho = small.apply(basis_ket(reg, (1, 0)).to_density(), ("x", "y"))
+        rho = small.apply(to_density(basis_ket(reg, (1, 0))), ("x", "y"))
         assert abs(population(rho, (0, 0)) - spec.gamma) <= 1e-12
         assert abs(population(rho, (1, 0)) - abs(spec.t) ** 2) <= 1e-12
         assert abs(population(rho, (0, 1)) - abs(spec.r) ** 2) <= 1e-12

@@ -37,6 +37,7 @@ from .reference import (
     population,
     reconstruct_joint,
     reference_scissors,
+    to_density,
 )
 from .test_invariants import _mixed_input
 
@@ -279,13 +280,13 @@ def test_teleport_stage_closed_form_with_detector_loss():
 
 
 def test_teleport_density_input_requires_target():
-    rho = QubitAmplitudes(1.0, 0.0).as_vector("c").to_density()
+    rho = to_density(QubitAmplitudes(1.0, 0.0).as_vector("c"))
     with pytest.raises(ValueError, match="target"):
         run_teleport(TeleportConfig(input_state=rho))
 
 
 def test_teleport_density_input_on_another_mode_is_refused():
-    rho = QubitAmplitudes(0.6, 0.8).as_vector("a").to_density()
+    rho = to_density(QubitAmplitudes(0.6, 0.8).as_vector("a"))
     target = QubitAmplitudes(0.6, 0.8).as_vector("a")
     with pytest.raises(ValueError, match=r"^teleport input must be on mode 'c', got 'a'$"):
         run_teleport(TeleportConfig(input_state=rho, target=target))

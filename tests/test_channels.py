@@ -38,6 +38,7 @@ from .reference import (
     moveaxis_embedding,
     noise_covariance,
     population,
+    to_density,
     total_photons,
 )
 
@@ -59,7 +60,7 @@ def pair_matrix(op):
 
 
 def two_mode_unitary_matrix(v, cutoff1, cutoff2):
-    """Dense pair matrix of a passive V; exact on every total within both cutoffs."""
+    """Dense pair matrix of a passive V: exact on every total within both cutoffs, zero on the rest."""
     return pair_matrix(_blockwise_passive(v, cutoff1, cutoff2))
 
 
@@ -228,9 +229,14 @@ def test_passive_build_rejects_non_unitary_matrix():
         _blockwise_passive(np.eye(2) * (1 + 1e-11), 3, 3)
 
 
+def assert_zero_beyond(mine, retained):
+    """P_(<=low) U: every state outside ``retained`` maps to zero, and none maps into it."""
+    assert not mine[~retained].any() and not mine[:, ~retained].any()
+
+
 @pytest.mark.parametrize("cutoffs", [(3, 6), (6, 2)])
 def test_passive_build_at_unequal_cutoffs_matches_expm_reference(cutoffs):
-    # unequal cutoffs give several truncated blocks of one size
+    # unequal cutoffs: only the totals within the smaller cutoff are kept
     from .reference import fock_unitary_from_2x2
 
     reg = ModeRegister(("x", "y"), cutoffs)
@@ -240,11 +246,7 @@ def test_passive_build_at_unequal_cutoffs_matches_expm_reference(cutoffs):
     mine = pair_matrix(_blockwise_passive(v, *cutoffs))
     ref = fock_unitary_from_2x2(v, *reg.dims)
     assert np.max(np.abs(mine - ref)[np.ix_(retained, retained)]) < 1e-10
-    # with eigenphases inside (-pi/2, pi/2) both logs take the same branch, so
-    # the truncated blocks, built from the same truncated generator, agree too
-    near_identity = (v * np.exp(-1j * rng.uniform(-1.5, 1.5, 2))) @ v.conj().T
-    mine = pair_matrix(_blockwise_passive(near_identity, *cutoffs))
-    assert np.max(np.abs(mine - fock_unitary_from_2x2(near_identity, *reg.dims))) < 1e-10
+    assert_zero_beyond(mine, retained)
 
 
 @pytest.mark.parametrize("cutoffs", [(3, 6), (6, 2)])
@@ -260,11 +262,11 @@ def test_passive_build_of_diagonal_matrix_is_exact_phases(cutoffs):
 
 
 def closed_form_log_cases():
-    """Unitaries at the edges of the closed-form log h = i log V."""
+    """Edge-case unitaries: zero trace, det V = -1 in a real dtype, and a near-diagonal V,
+    each where i log V would need a choice of branch."""
     cases = {}
     for gamma in (0.02, 0.1, 0.137, 0.2):
-        # numpy's SVD factor W of a balanced splitter; its trace is zero at the
-        # first three, so the sign rule Re tr(V / c) >= 0 sits on its boundary
+        # numpy's SVD factor W of a balanced splitter; its trace is zero at the first three
         cases[f"W(Gamma={gamma})"] = np.linalg.svd(BeamSplitterSpec.lossy_5050(gamma).scattering_matrix)[0]
     cases["reflection"] = np.array([[0.6, 0.8], [0.8, -0.6]])  # det V = -1, real dtype
     rotation = np.array([[math.cos(1e-9), -math.sin(1e-9)], [math.sin(1e-9), math.cos(1e-9)]])
@@ -282,13 +284,10 @@ def test_passive_build_closed_form_log_edge_cases(name, cutoffs):
     mine = pair_matrix(op)
     ref = fock_unitary_from_2x2(v, *reg.dims)
     assert np.max(np.abs(mine - ref)[np.ix_(retained, retained)]) < 1e-10
+    assert_zero_beyond(mine, retained)
     for _, block in op.blocks:
         eye = np.eye(block.shape[-1])
         assert np.max(np.abs(block.conj().T @ block - eye)) <= 1e-13
-    if name == "near-diagonal":
-        # eigenphases 0.3 and -0.7: both logs take the same branch, so the
-        # truncated blocks agree too
-        assert np.max(np.abs(mine - ref)) < 1e-10
 
 
 def recurrence_cases():
@@ -326,8 +325,8 @@ def test_recurrence_blocks_match_expm_reference_and_stay_unitary(name, cutoff):
 
 @pytest.mark.parametrize("top", [0, 2, 4, 6, 9])
 def test_passive_up_to_top_equals_full_operator_on_supported_factor(top):
-    # cutoffs (4, 6) on the reversed pair (z, x): tops 0-4 build recurrence blocks
-    # only, 6 and 9 also a part of the truncated ones
+    # cutoffs (4, 6) on the reversed pair (z, x): tops 0-4 build blocks up to top;
+    # 6 and 9 build the same blocks as the full operator, the totals up to 4
     reg = ModeRegister(("x", "s", "z"), (6, 1, 4))
     occ = reg.occupations()
     totals = occ[:, 0] + occ[:, 2]
@@ -341,21 +340,6 @@ def test_passive_up_to_top_equals_full_operator_on_supported_factor(top):
         full = lift_pair_operator(_blockwise_passive(matrix, 4, 6), reg, ("z", "x")) @ supported
         assert np.array_equal(part @ supported, full)
         assert np.array_equal(_passive(FactoredState(reg, supported), matrix, ("z", "x")).amplitudes, full)
-
-
-@pytest.mark.parametrize("cutoffs", [(4, 4), (3, 6), (6, 2)])
-def test_truncated_blocks_below_top_match_expm_reference(cutoffs):
-    # top two above the smaller cutoff; eigenphases inside (-pi/2, pi/2) put both
-    # logs on the same branch, so the truncated blocks agree with the reference
-    rng = np.random.default_rng(9)
-    v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    near_identity = (v * np.exp(-1j * rng.uniform(-1.5, 1.5, 2))) @ v.conj().T
-    reg = ModeRegister(("x", "y"), cutoffs)
-    built = total_photons(reg) <= min(cutoffs) + 2
-    mine = pair_matrix(_blockwise_passive(near_identity, *cutoffs, min(cutoffs) + 2))
-    ref = fock_unitary_from_2x2(near_identity, *reg.dims)
-    assert np.max(np.abs(mine - ref)[np.ix_(built, built)]) < 1e-10
-    assert not mine[~built].any() and not mine[:, ~built].any()
 
 
 UNBALANCED_SPECS = [BeamSplitterSpec(0.7, 0.1), BeamSplitterSpec(0.3, 0.8j)]
@@ -415,10 +399,10 @@ def test_splitter_store_is_read_only_and_equals_fresh_builds():
 
 
 def test_scissors_splitter_build_and_lift_peak_memory():
-    # drive cutoff 100: modes d and e get cutoff 101.  The blocks hold 8 bytes
-    # per lifted entry and build, lift and one application to a rank-11 factor
-    # peak near 12; a register-sized CSR lift (39 at its leanest) would exceed
-    # the bound
+    # drive cutoff 100: modes d and e get cutoff 101, blocks for the totals up to 101.
+    # The blocks hold 8 bytes per lifted entry and build, lift and one application
+    # to a rank-11 factor peak near 13; a register-sized CSR lift (39 at its leanest)
+    # would exceed the bound
     w = BeamSplitterSpec.lossy_5050(0.1).factors[1]
     reg = ModeRegister(("c", "d", "e"), (1, 101, 101))
     rng = np.random.default_rng(5)
@@ -430,17 +414,16 @@ def test_scissors_splitter_build_and_lift_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert lifted.nnz == 2 * (102**2 + 101 * 102 * 203 // 3)
+    assert lifted.nnz == 2 * sum(n * n for n in range(1, 103))
     assert peak / lifted.nnz <= 16, f"{peak / lifted.nnz:.1f} bytes per lifted entry"
 
 
 @pytest.mark.parametrize("cutoffs", [(4, 4), (3, 6), (6, 2)])
 @pytest.mark.parametrize("extra", [0, 2, None])
 def test_strided_blocks_match_expm_reference_through_the_embedding(cutoffs, extra):
-    # tops at the smaller cutoff (recurrence blocks only), two above it, and the full
-    # operator; unequal cutoffs give several truncated blocks of one size.
-    # The pair (z, x) is reversed and not adjacent.  Eigenphases inside (-pi/2, pi/2)
-    # put both logs on one branch, so the truncated blocks agree with the reference
+    # tops at the smaller cutoff, two above it, and the full operator: each keeps the
+    # totals within the smaller cutoff and maps the factor's other totals to zero.
+    # The pair (z, x) is reversed and not adjacent
     c_z, c_x = cutoffs
     reg = ModeRegister(("x", "s", "z"), (c_x, 1, c_z))
     iz, ix = reg.position("z"), reg.position("x")
@@ -450,21 +433,27 @@ def test_strided_blocks_match_expm_reference_through_the_embedding(cutoffs, extr
     top = c_z + c_x if extra is None else min(cutoffs) + extra
     op = _blockwise_passive(near_identity, c_z, c_x, top)
     occ = reg.occupations()
+    totals = occ[:, iz] + occ[:, ix]
     psi = rng.normal(size=(reg.dim, 3)) + 1j * rng.normal(size=(reg.dim, 3))
-    psi[occ[:, iz] + occ[:, ix] > top] = 0.0
+    psi[totals > top] = 0.0
     out = lift_pair_operator(op, reg, ("z", "x")) @ psi
+    retained = totals <= min(cutoffs)
     ref = moveaxis_embedding(fock_unitary_from_2x2(near_identity, c_z + 1, c_x + 1), reg.dims, iz, ix) @ psi
-    assert np.max(np.abs(out - ref)) <= 1e-10
+    assert np.max(np.abs(out - ref)[retained]) <= 1e-10
+    assert not out[~retained].any()
 
 
 @pytest.mark.parametrize("cutoffs", [(3, 0), (0, 3)])
 def test_strided_blocks_of_a_cutoff_zero_mode_match_expm_reference(cutoffs):
-    # a second mode of size 1 leaves one state per total, and no stride between states
+    # a mode of size 1 holds no photon, so only the vacuum total is kept
     rng = np.random.default_rng(44)
     v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     near_identity = (v * np.exp(-1j * rng.uniform(-1.5, 1.5, 2))) @ v.conj().T
     ref = fock_unitary_from_2x2(near_identity, cutoffs[0] + 1, cutoffs[1] + 1)
-    assert np.max(np.abs(two_mode_unitary_matrix(near_identity, *cutoffs) - ref)) <= 1e-10
+    mine = two_mode_unitary_matrix(near_identity, *cutoffs)
+    retained = np.arange(mine.shape[0]) == 0
+    assert np.max(np.abs(mine - ref)[np.ix_(retained, retained)]) <= 1e-10
+    assert_zero_beyond(mine, retained)
 
 
 # ---------------------------------------------------------------- lift and loss
@@ -519,7 +508,8 @@ def test_attenuator_matches_kraus_oracle_on_middle_mode(tau):
     for a in attenuation_kraus(tau, cutoff=4):
         lifted = np.kron(np.kron(np.eye(2), a), np.eye(3))
         expected += lifted @ rho @ lifted.T
-    out = _attenuate(FactoredState(reg, psi), "b", tau).to_density().matrix
+    # any spec serves: its loss table depends on tau alone
+    out = to_density(_attenuate(FactoredState(reg, psi), "b", tau, BeamSplitterSpec.ideal_5050())).matrix
     assert np.max(np.abs(out - expected)) <= 1e-13
 
 
@@ -538,9 +528,23 @@ def test_attenuator_on_vacuum_mode_rescales_rows_and_keeps_columns(tau):
     for a in attenuation_kraus(tau, cutoff=4):
         lifted = np.kron(np.kron(np.eye(2), a), np.eye(3))
         expected += lifted @ rho @ lifted.T
-    out = _attenuate(FactoredState(reg, psi), "b", tau)
+    out = _attenuate(FactoredState(reg, psi), "b", tau, BeamSplitterSpec.ideal_5050())
     assert out.rank == 3
-    assert np.max(np.abs(out.to_density().matrix - expected)) <= 1e-13
+    assert np.max(np.abs(to_density(out).matrix - expected)) <= 1e-13
+
+
+def test_hong_ou_mandel_pair_keeps_only_the_outputs_the_register_holds():
+    # |1,1> through the ideal 50/50 leaves as (i/sqrt2)(|2,0> + |0,2>): at cutoffs (1, 1)
+    # neither output fits, so nothing is kept (trace 0); at (2, 2) both are
+    spec = BeamSplitterSpec.ideal_5050()
+    small = ModeRegister(("a", "b"), (1, 1))
+    out = apply_bs_channel(FactoredState.from_state(basis_ket(small, (1, 1))), ("a", "b"), spec)
+    assert out.trace() == 0.0
+    reg = ModeRegister(("a", "b"), (2, 2))
+    out = apply_bs_channel(FactoredState.from_state(basis_ket(reg, (1, 1))), ("a", "b"), spec)
+    expected = np.zeros(reg.dim, dtype=complex)
+    expected[[reg.index((2, 0)), reg.index((0, 2))]] = 1j / SQ2
+    assert np.max(np.abs(out.amplitudes[:, 0] - expected)) <= 1e-15
 
 
 def test_splitter_with_a_lossless_singular_value_matches_the_dense_reference():
@@ -552,7 +556,7 @@ def test_splitter_with_a_lossless_singular_value_matches_the_dense_reference():
     assert spec.taus[0] == 1.0 and spec.taus[1] == pytest.approx(0.04, abs=1e-15)
     reg = ModeRegister(("a", "b"), (3, 3))
     rho = random_retained_state(reg, seed=23, block_max=3)  # totals <= 3: nothing truncated
-    out = apply_bs_channel(FactoredState.from_state(rho), ("a", "b"), spec).to_density().matrix
+    out = to_density(apply_bs_channel(FactoredState.from_state(rho), ("a", "b"), spec)).matrix
     ref = apply_lossy_bs(rho.matrix, [4, 4], (0, 1), spec.t, spec.r)
     assert np.max(np.abs(out - ref)) <= 1e-12
 
@@ -618,7 +622,7 @@ def test_random_lossy_splitters_map_coherent_products_to_s_alpha():
 @pytest.mark.parametrize("cutoffs, alphas", DISPLACEMENT_CASES)
 @pytest.mark.parametrize("tau", [0.02, 0.5, 0.9])
 def test_loss_maps_a_coherent_state_to_sqrt_tau_alpha(cutoffs, alphas, tau):
-    out = _attenuate(coherent_factor(("a", "b"), cutoffs, alphas), "b", tau)
+    out = _attenuate(coherent_factor(("a", "b"), cutoffs, alphas), "b", tau, BeamSplitterSpec.ideal_5050())
     expected = coherent_factor(("a", "b"), cutoffs, (alphas[0], math.sqrt(tau) * alphas[1]))
     assert out.compression_error <= 1e-13
     assert_pure_and_equal(out, expected, 1e-14)
@@ -667,7 +671,8 @@ def test_lossless_kraus_is_single_ideal_unitary():
     assert len(chan.operators) == 1
     reg = ModeRegister(("x", "y"), (3, 3))
     u = ideal_bs_unitary(spec, reg, ("x", "y"))
-    assert np.max(np.abs(chan.operators[0] - u)) < 1e-12
+    retained = total_photons(reg) <= 3
+    assert np.max(np.abs(chan.operators[0] - u)[np.ix_(retained, retained)]) < 1e-12
 
 
 def test_kraus_trace_preserving_on_retained_blocks():
@@ -685,7 +690,7 @@ def test_kraus_single_photon_loss_arithmetic():
     assert spec.gamma == pytest.approx(0.02)
     chan = lossy_bs_kraus(spec, cutoff=1)
     reg = ModeRegister(("x", "y"), (1, 1))
-    rho = chan.apply(basis_ket(reg, (1, 0)).to_density(), ("x", "y"))
+    rho = chan.apply(to_density(basis_ket(reg, (1, 0))), ("x", "y"))
     assert population(rho, (1, 0)) == pytest.approx(0.49, abs=1e-12)
     assert population(rho, (0, 1)) == pytest.approx(0.49, abs=1e-12)
     assert population(rho, (0, 0)) == pytest.approx(0.02, abs=1e-12)
@@ -703,7 +708,7 @@ def test_fast_channel_matches_explicit_kraus():
         chan = lossy_bs_kraus(spec, cutoff=3)
         rho = random_retained_state(reg, seed=100 + i, block_max=3)
         via_kraus = chan.apply(rho, ("x", "y"))
-        via_fast = apply_bs_channel(FactoredState.from_state(rho), ("x", "y"), spec).to_density()
+        via_fast = to_density(apply_bs_channel(FactoredState.from_state(rho), ("x", "y"), spec))
         assert np.max(np.abs(via_kraus.matrix - via_fast.matrix)) < 1e-12
 
 
@@ -713,7 +718,7 @@ def test_fast_channel_with_spectator_mode():
     chan = lossy_bs_kraus(spec, cutoff=2)
     rho = random_retained_state(reg, seed=8, block_max=2)
     via_kraus = chan.apply(rho, ("x", "y"))
-    via_fast = apply_bs_channel(FactoredState.from_state(rho), ("x", "y"), spec).to_density()
+    via_fast = to_density(apply_bs_channel(FactoredState.from_state(rho), ("x", "y"), spec))
     assert np.max(np.abs(via_kraus.matrix - via_fast.matrix)) < 1e-12
     assert abs(via_fast.trace() - 1.0) < 1e-10
 
@@ -772,7 +777,7 @@ def test_postselect_ideal_teleport_joint_state():
     for (na, nb), w in (((1, 0), s), ((0, 1), 1j * s)):
         for nc, cw in ((0, c0), (1, c1)):
             amps[reg.index((na, nb, nc))] = w * cw
-    joint = FockVector(reg, amps).to_density()
+    joint = to_density(FockVector(reg, amps))
     u = ideal_bs_unitary(BeamSplitterSpec.ideal_5050(), reg, ("b", "c"))
     rotated = DensityOperator(reg, u @ joint.matrix @ u.conj().T)
     det = DetectorSpec(1.0)
@@ -810,7 +815,7 @@ def bs_ancilla_click_probability(state_vec, eta, clicks, cutoff):
     joint = tensor(FactoredState.from_state(state_vec), FactoredState.from_state(ancilla))
     spec = BeamSplitterSpec(math.sqrt(eta), 1j * math.sqrt(1 - eta))
     u = ideal_bs_unitary(spec, reg, ("s", "anc"))
-    rho = DensityOperator(reg, u @ joint.to_density().matrix @ u.conj().T)
+    rho = DensityOperator(reg, u @ to_density(joint).matrix @ u.conj().T)
     try:
         _, prob = postselect(FactoredState.from_state(rho), [("s", DetectorSpec(1.0), clicks)])
     except ImpossibleOutcomeError:

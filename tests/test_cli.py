@@ -116,14 +116,15 @@ def test_evaluate_point_makes_no_eigh_call_inside_the_splitter_build(monkeypatch
     assert not [names for names in callers if "_blockwise_passive" in names]
 
 
-def test_no_package_entry_path_builds_a_truncated_block(monkeypatch):
-    # every register the stages build is padded so that the totals a splitter meets lie
-    # within both cutoffs: the package runs on recurrence blocks and exact phases alone
-    from qscissors import channels
+def test_every_entry_path_keeps_the_trace_of_each_stage(monkeypatch):
+    # a splitter keeps only the totals both of its modes can hold, so a register padded
+    # one short would lose weight; every stage the package builds must keep its trace
+    from qscissors import apparatus
     from qscissors.apparatus import (
         QubitAmplitudes,
         ScissorsConfig,
         TeleportConfig,
+        bs_action_on_bell,
         full_pipeline,
         run_scissors,
         run_teleport,
@@ -131,22 +132,46 @@ def test_no_package_entry_path_builds_a_truncated_block(monkeypatch):
     from qscissors.channels import DetectorSpec, ImpossibleOutcomeError
     from qscissors.fock import CoherentDrive
 
-    def refuse(*args):
-        raise AssertionError("a truncated block was built")
+    defects, propagate = [], apparatus._propagate
 
-    monkeypatch.setattr(channels, "_truncated_blocks", refuse)
-    # at drive 100 the (1, 0) pattern underflows: exit 1, after both scissors splitters ran
-    for argv, code in ((["sweep"], 0), (["bell-check"], 0), (["pipeline", "--drive", "100"], 1)):
-        assert main(argv) == code, argv
+    def recorded(*args):
+        rho, diagnostics = propagate(*args)
+        defects.append(diagnostics["trace_defect"])
+        return rho, diagnostics
+
+    monkeypatch.setattr(apparatus, "_propagate", recorded)
     lossy, counters = BeamSplitterSpec.lossy_5050(0.1), DetectorSpec(0.7)
     stage = dict(bs1=lossy, bs2=lossy, detectors=counters)
-    run_scissors(ScissorsConfig(drive=CoherentDrive(1.5), clicks=(3, 5), **stage))
-    run_scissors(ScissorsConfig(drive=CoherentDrive(0.8), output_cutoff=2, **stage))
-    run_teleport(TeleportConfig(input_state=QubitAmplitudes(0.6, 0.8), clicks=(2, 0), **stage))
-    with pytest.raises(ImpossibleOutcomeError):  # Hong-Ou-Mandel: both splitters balanced
-        run_teleport(TeleportConfig(input_state=QubitAmplitudes(0.6, 0.8), clicks=(1, 1), **stage))
     unbalanced = BeamSplitterSpec(0.6, 0.5j)
-    full_pipeline(ScissorsConfig(drive=CoherentDrive(0.4 - 0.7j), bs1=unbalanced, bs2=unbalanced, detectors=counters))
+
+    def exits(argv, code):
+        assert main(argv) == code, argv
+
+    def hong_ou_mandel():  # both splitters balanced: the (1, 1) pattern is impossible
+        with pytest.raises(ImpossibleOutcomeError):
+            run_teleport(TeleportConfig(input_state=QubitAmplitudes(0.6, 0.8), clicks=(1, 1), **stage))
+
+    paths = [
+        lambda: exits(["sweep"], 0),
+        # at drive 100 the (1, 0) pattern underflows: exit 1, after both scissors splitters ran
+        lambda: exits(["pipeline", "--drive", "100"], 1),
+        lambda: run_scissors(ScissorsConfig(drive=CoherentDrive(1.5), clicks=(3, 5), **stage)),
+        lambda: run_scissors(ScissorsConfig(drive=CoherentDrive(0.8), output_cutoff=2, **stage)),
+        lambda: run_scissors(ScissorsConfig(drive=CoherentDrive(20.0), clicks=(201, 201), **stage)),
+        lambda: run_teleport(TeleportConfig(input_state=QubitAmplitudes(0.6, 0.8), clicks=(2, 0), **stage)),
+        hong_ou_mandel,
+        lambda: full_pipeline(
+            ScissorsConfig(drive=CoherentDrive(0.4 - 0.7j), bs1=unbalanced, bs2=unbalanced, detectors=counters)
+        ),
+    ]
+    for i, path in enumerate(paths):
+        before = len(defects)
+        path()
+        assert len(defects) > before and max(defects[before:]) <= 1e-12, (i, defects[before:])
+    # bell-check sends each Bell state through the splitter alone, on a cutoff-2 register
+    assert main(["bell-check"]) == 0
+    for image in bs_action_on_bell(BeamSplitterSpec.ideal_5050()).values():
+        assert abs(image.norm_sq() - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------- config

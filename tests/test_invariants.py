@@ -28,7 +28,7 @@ from qscissors.apparatus import MAX_CLICKS, QubitAmplitudes, ScissorsConfig, Tel
 from qscissors.channels import BeamSplitterSpec, DetectorSpec, ImpossibleOutcomeError, apply_bs_channel
 from qscissors.fock import CoherentDrive, DensityOperator, FactoredState, ModeRegister
 
-from .reference import apply_lossy_bs
+from .reference import apply_lossy_bs, to_density
 from .test_channels import random_physical_specs, random_retained_state
 
 COMPLETENESS_TOL = 1e-14
@@ -131,7 +131,7 @@ def test_two_lossy_splitters_are_one_element_of_the_product_matrix(s1, s2):
     rho = random_retained_state(reg, seed=17, block_max=2)  # total photons <= 2: nothing truncated
     two = apply_bs_channel(apply_bs_channel(FactoredState.from_state(rho), ("a", "b"), s1), ("a", "b"), s2)
     one = apply_bs_channel(FactoredState.from_state(rho), ("a", "b"), t)
-    assert np.max(np.abs(two.to_density().matrix - one.to_density().matrix)) <= 1e-13
+    assert np.max(np.abs(to_density(two).matrix - to_density(one).matrix)) <= 1e-13
     dims = [3, 3]
     two_ref = apply_lossy_bs(apply_lossy_bs(rho.matrix, dims, (0, 1), s1.t, s1.r), dims, (0, 1), s2.t, s2.r)
     one_ref = apply_lossy_bs(rho.matrix, dims, (0, 1), t.t, t.r)
