@@ -19,19 +19,16 @@ FORMULA_IDS = ("N_eq15", "F_eq16", "N_eq180", "F_eq20")
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """The noise triple (eta, Gamma, R) plus the drive amplitudes the printed
-    normalization constants need.
+    """The noise triple (eta, Gamma, R) of one operating point.
 
-    ratio_R is the vacuum-to-one-photon weight ratio of the drive and
-    gamma_amp the coherent amplitude magnitude standing in for the |alpha| of
-    the exponential factors (the derivation never defines alpha; the drive
-    amplitude is the only amplitude in the setup).
+    ratio_R is the vacuum-to-one-photon weight ratio 1/|gamma|^2 of the drive,
+    so it fixes the drive amplitude magnitude ``gamma_amp`` that the printed
+    normalization constants need.
     """
 
     eta: float
     gamma_bs: float
     ratio_R: float
-    gamma_amp: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -41,14 +38,16 @@ class NoiseParams:
         if not self.ratio_R > 0.0:
             raise ValueError(f"ratio R must be positive, got {self.ratio_R}")
 
+    @property
+    def gamma_amp(self) -> float:
+        """|gamma| = 1/sqrt(R), standing in for the |alpha| of the exponential factors
+        (the derivation never defines alpha; the drive amplitude is the only amplitude
+        in the setup)."""
+        return 1.0 / math.sqrt(self.ratio_R)
+
     @classmethod
     def from_drive(cls, eta: float, gamma_bs: float, drive: CoherentDrive) -> "NoiseParams":
-        return cls(
-            eta=eta,
-            gamma_bs=gamma_bs,
-            ratio_R=drive.ratio,
-            gamma_amp=abs(drive.gamma),
-        )
+        return cls(eta=eta, gamma_bs=gamma_bs, ratio_R=drive.ratio)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ drive enters in closed form at the counters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -194,7 +194,6 @@ def run_scissors(config: ScissorsConfig) -> RunResult:
     counters = [("d", _IDEAL_COUNTER, 0), ("e", _IDEAL_COUNTER, 0)]
     state, probability = postselect(_displaced_clicks(rho, config), counters)
     target = QubitAmplitudes.from_drive(config.drive).as_vector("c", config.output_cutoff)
-    diagnostics.update(truncation_error=0.0)
     return RunResult(state, probability, fidelity(state, target), target, diagnostics)
 
 
@@ -267,22 +266,20 @@ def _propagate(labels, out_cutoff, budget, probe, config) -> tuple[FactoredState
     return rho, diagnostics
 
 
-def full_pipeline(
-    scissors: ScissorsConfig, teleport: TeleportConfig | None = None
-) -> tuple[RunResult, RunResult, float]:
-    """Run state engineering, feed its conditional output into the teleporter,
-    and report the end-to-end fidelity of mode a against the ideal target."""
-    if teleport is None:
-        teleport = TeleportConfig(
-            bs1=scissors.bs1, bs2=scissors.bs2, detectors=scissors.detectors
-        )
+def full_pipeline(scissors: ScissorsConfig) -> tuple[RunResult, RunResult, float]:
+    """Run state engineering, feed its conditional output into a teleporter with
+    the same splitters and counters, and report the end-to-end fidelity of mode a
+    against the ideal target."""
     scissors_result = run_scissors(scissors)
-    teleport_cfg = replace(
-        teleport,
-        input_state=scissors_result.state,
-        target=QubitAmplitudes.from_drive(scissors.drive).as_vector("a"),
+    teleport_result = run_teleport(
+        TeleportConfig(
+            input_state=scissors_result.state,
+            bs1=scissors.bs1,
+            bs2=scissors.bs2,
+            detectors=scissors.detectors,
+            target=QubitAmplitudes.from_drive(scissors.drive).as_vector("a"),
+        )
     )
-    teleport_result = run_teleport(teleport_cfg)
     return scissors_result, teleport_result, teleport_result.fidelity
 
 

@@ -24,7 +24,11 @@ Three models live here:
 
 Channels and post-selection take a low-rank factor rho = psi psi^dag
 (``fock.FactoredState``) only, so memory and work grow with dim * rank, never
-dim^2; the rank stays small because a coherent drive stays pure under loss.
+dim^2.  The rank stays small because no drive enters a channel (the scissors
+stage takes it in the displaced frame): a register holds at most two photons,
+a loss step adds one branch per photon number a mode can lose, and the
+re-compressed factor has no more columns than its register has states (8 in
+the scissors stage at output cutoff 1, 18 in the teleporter).
 Only the post-selected conditional state leaves as a ``DensityOperator``.
 """
 

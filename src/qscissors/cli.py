@@ -320,21 +320,14 @@ def _merge_flags(raw: dict, args) -> dict:
     return merged
 
 
-def evaluate_point(
-    eta: float, gamma_bs: float, drive_gamma: float, *, bs: BeamSplitterSpec | None = None
-) -> ReportRow:
+def evaluate_point(eta: float, gamma_bs: float, drive_gamma: float) -> ReportRow:
     """Run the full machine at one noise point and evaluate every oracle.
+    (eta, Gamma, drive) is the whole input: both splitters are
+    ``lossy_5050(gamma_bs)`` and both stages count with efficiency eta.
     Every drive the config check admits runs: the scissors stage takes it in
-    the displaced frame, with no cutoff.
-
-    ``bs`` is the point's splitter, ``BeamSplitterSpec.lossy_5050(gamma_bs)``, given so
-    that points of one Gamma share its stored blocks and loss tables (see
-    ``BeamSplitterSpec.ladders``); any other spec is a ValueError.  Without it the point
-    builds its own."""
-    if bs is None:
-        bs = BeamSplitterSpec.lossy_5050(gamma_bs)
-    elif bs != BeamSplitterSpec.lossy_5050(gamma_bs):
-        raise ValueError(f"bs must equal lossy_5050({gamma_bs}), got {bs}")
+    the displaced frame, with no cutoff.  Points of one Gamma share its spec
+    (``_balanced_splitter``), and so its blocks and loss tables."""
+    bs = _balanced_splitter(gamma_bs)
     drive = CoherentDrive(drive_gamma)
     params = NoiseParams.from_drive(eta, gamma_bs, drive)
     row = ReportRow(eta=eta, gamma=gamma_bs, ratio_R=params.ratio_R, drive_gamma=abs(drive_gamma))
@@ -358,7 +351,6 @@ def evaluate_point(
         row.fid_teleport_numeric = fid_e2e
         row.prob_scissors = s_res.probability
         row.prob_teleport = t_res.probability
-        row.truncation_error = s_res.diagnostics["truncation_error"]
         if eq16 is not None:
             row.abs_diff_16 = abs(s_res.fidelity - eq16.value)
             row.abs_diff_20 = abs(fid_e2e - eq20.value)
@@ -368,6 +360,14 @@ def evaluate_point(
         errors.append("impossible_outcome")
     row.run_error = ";".join(errors)
     return row
+
+
+@functools.lru_cache
+def _balanced_splitter(gamma_bs: float) -> BeamSplitterSpec:
+    """``BeamSplitterSpec.lossy_5050(gamma_bs)``, one spec per Gamma for the process (up to
+    the cache's 128 most recent), so that every point of one Gamma builds its blocks and
+    loss tables once (``BeamSplitterSpec.ladders``)."""
+    return BeamSplitterSpec.lossy_5050(gamma_bs)
 
 
 def _is_physical_qubit(rho) -> bool:
@@ -380,12 +380,8 @@ def _is_physical_qubit(rho) -> bool:
 
 
 def run_sweep(grid: SweepGrid) -> list[ReportRow]:
-    """One row per grid point, in deterministic lexicographic grid order.
-
-    Every point of one Gamma is passed the same ``lossy_5050(Gamma)`` spec, so its blocks
-    and loss tables are built once."""
-    specs = {g: BeamSplitterSpec.lossy_5050(g) for g in grid.gamma_bs}
-    return [evaluate_point(eta, g, drive, bs=specs[g]) for eta, g, drive in grid.points()]
+    """One row per grid point, in deterministic lexicographic grid order."""
+    return [evaluate_point(eta, g, drive) for eta, g, drive in grid.points()]
 
 
 def format_float(value: float) -> str:
@@ -413,7 +409,7 @@ def write_reports(rows: list[ReportRow], out_path: str):
 
 def _cmd_single(kind: str, cfg: dict) -> int:
     drive = CoherentDrive(cfg["drive"])
-    bs = BeamSplitterSpec.lossy_5050(cfg["gamma_bs"])
+    bs = _balanced_splitter(cfg["gamma_bs"])
     stage = dict(bs1=bs, bs2=bs, detectors=DetectorSpec(cfg["eta"]), clicks=cfg["clicks"])
     if kind == "scissors":
         result = run_scissors(ScissorsConfig(drive=drive, **stage))

@@ -284,10 +284,9 @@ def tensor(x: FactoredState, y: FactoredState) -> FactoredState:
 
 
 def partial_trace(rho: FactoredState, keep) -> DensityOperator:
-    """Trace a factor over every mode not in ``keep``.  The reduced state, its
-    modes in the order of ``keep``, leaves the engine here as a DensityOperator:
-    with the kept modes first the factor is a matrix M, and rho = M M^dag."""
-    keep = [keep] if isinstance(keep, str) else list(keep)
+    """Trace a factor over every mode not in ``keep``, a sequence of labels.  The
+    reduced state, its modes in the order of ``keep``, leaves the engine here as a
+    DensityOperator: with the kept modes first the factor is a matrix M, and rho = M M^dag."""
     reg = rho.register
     keep_pos = [reg.position(l) for l in keep]
     sub = reg.subregister(keep)

@@ -1,9 +1,21 @@
-"""Shared pytest configuration: prints one PASS/FAIL line per acceptance
-criterion at the end of a run that touched tests/test_acceptance.py."""
+"""Shared pytest configuration: every test starts with an empty splitter cache,
+and a run that touched tests/test_acceptance.py ends with one PASS/FAIL line per
+acceptance criterion."""
 
 import re
 
+import pytest
+
+from qscissors import cli
+
 CRITERION_PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\w+)")
+
+
+@pytest.fixture(autouse=True)
+def fresh_splitter_cache():
+    """The per-Gamma splitter specs ``cli`` keeps for the process, dropped before each
+    test, so that no test sees blocks or tables another test built."""
+    cli._balanced_splitter.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -421,6 +421,24 @@ def reference_scissors(eta, gamma_bs, drive_gamma, n_drive, clicks=(1, 0), spec=
     return rho_c, prob, fid
 
 
+def reference_teleport(eta, spec1, spec2, rho_c, clicks):
+    """Full teleport stage on modes (a, b, c) at cutoffs (1, 2, 2): a photon on a
+    meets vacuum on b at ``spec1``, then b meets the 2x2 input ``rho_c`` on c at
+    ``spec2``, and efficiency-eta counters register ``clicks`` on (b, c).  At most
+    two photons reach (b, c), so nothing is truncated.  Returns the sub-normalized
+    conditional state of a, whose trace is the outcome probability."""
+    dims = [2, 3, 3]
+    rho_ab = np.zeros((6, 6), dtype=complex)
+    rho_ab[3, 3] = 1.0  # |1, 0> on (a, b)
+    rho_ab = apply_lossy_bs(rho_ab, dims[:2], (0, 1), spec1.t, spec1.r)
+    padded = np.zeros((3, 3), dtype=complex)
+    padded[:2, :2] = rho_c
+    rho = apply_lossy_bs(np.kron(rho_ab, padded), dims, (1, 2), spec2.t, spec2.r)
+    w = np.kron(np.ones(2), np.kron(povm_diag(eta, clicks[0], 3), povm_diag(eta, clicks[1], 3)))
+    sw = np.sqrt(w)
+    return trace_keep(rho * np.outer(sw, sw), dims)
+
+
 def closed_form_scissors_fidelity(eta, gamma_bs, drive_gamma):
     """Hand-derived closed form for the scissors fidelity with a balanced
     lossy element and efficiency-eta counters (validated against the expm

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -150,6 +151,26 @@ def test_norm_C2_is_derived_from_the_drive_and_cannot_be_set():
         NoiseParams(eta=0.7, gamma_bs=0.1, ratio_R=1.0, norm_C2=0.5)
     with pytest.raises(AttributeError):
         params.norm_C2 = 0.5
+
+
+def test_noise_params_of_a_ratio_carry_its_drive_amplitude():
+    # R = 1/|gamma|^2 fixes the drive, so the triple gives the norms that the drive gives
+    by_ratio = NoiseParams(0.7, 0.1, ratio_R=4.0)
+    by_drive = NoiseParams.from_drive(0.7, 0.1, CoherentDrive(0.5))
+    bs = BeamSplitterSpec.lossy_5050(0.1)
+    for norm in (teleport_norm, lambda params: truncation_norm(params, bs)):
+        want = norm(by_drive).value
+        assert abs(norm(by_ratio).value - want) <= 1e-15 * want
+
+
+def test_gamma_amp_is_derived_from_the_ratio_and_cannot_be_set():
+    params = NoiseParams(0.7, 0.1, ratio_R=4.0)
+    assert [f.name for f in fields(NoiseParams)] == ["eta", "gamma_bs", "ratio_R"]
+    assert params.gamma_amp == 0.5
+    with pytest.raises(TypeError):
+        NoiseParams(eta=0.7, gamma_bs=0.1, ratio_R=4.0, gamma_amp=1.0)
+    with pytest.raises(AttributeError):
+        params.gamma_amp = 1.0
 
 
 def printed_eq15_form(params, bs):

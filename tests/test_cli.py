@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import math
 import os
@@ -35,6 +36,23 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_console_script_is_main_and_runs_bell_check():
+    # [project.scripts] in pyproject.toml is the command an install makes; read without
+    # tomllib, which Python 3.10 lacks
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(re.findall(r'^(\S+)\s*=\s*"([^"]+)"$', section, re.M))
+    module, _, name = scripts["qscissors"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+    # the installed command calls main() with no arguments and exits with what it returns
+    code = f"import sys, {module}; sys.exit({module}.{name}())"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", code, "bell-check"], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "resolved assignment: psi_plus <-> (1,0)" in done.stdout
 
 
 def test_loading_the_reference_closed_forms_and_a_point_load_no_scipy():
@@ -331,7 +349,11 @@ def test_small_sweep_rows_in_grid_order():
 def test_sweep_rows_equal_independent_points_exactly(axes):
     # the sweep shares one splitter spec per Gamma; every float must match a point built alone
     grid = SweepGrid(**axes)
-    alone = [evaluate_point(*p) for p in grid.points()]
+    alone = []
+    for point in grid.points():
+        cli._balanced_splitter.cache_clear()
+        alone.append(evaluate_point(*point))
+    cli._balanced_splitter.cache_clear()
     assert [asdict(r) for r in run_sweep(grid)] == [asdict(r) for r in alone]
 
 
@@ -353,20 +375,18 @@ def test_shared_spec_builds_nothing_after_its_largest_point(monkeypatch, gamma):
 
     monkeypatch.setattr(channels, "_extend_ladder", counted_extend)
     monkeypatch.setattr(channels, "_loss_table", counted_build)
-    spec = BeamSplitterSpec.lossy_5050(gamma)
-    evaluate_point(0.7, gamma, 2.0, bs=spec)
+    evaluate_point(0.7, gamma, 2.0)
     assert counts["ladder steps"] > 0 and (counts["loss tables"] > 0) == (gamma > 0)
     built = dict(counts)
     for eta, drive in ((0.7, 1.0), (0.7, 0.5), (0.5, 2.0), (1.0, 2.0), (0.5, 0.5)):
-        evaluate_point(eta, gamma, drive, bs=spec)
+        evaluate_point(eta, gamma, drive)
     assert counts == built
 
 
 def test_balanced_splitter_keeps_one_loss_table_after_a_point():
     # the two transmissivities of lossy_5050 are equal bit for bit, so they share a table
-    spec = BeamSplitterSpec.lossy_5050(0.1)
-    evaluate_point(0.7, 0.1, 1.0, bs=spec)
-    assert len(spec._tables) == 1
+    evaluate_point(0.7, 0.1, 1.0)
+    assert len(cli._balanced_splitter(0.1)._tables) == 1
 
 
 @pytest.mark.parametrize(
@@ -394,13 +414,6 @@ def test_unphysical_conditional_state_is_reported_on_the_row(monkeypatch, stage,
     assert row.has_violation()
 
 
-def test_evaluate_point_refuses_a_spec_of_another_gamma():
-    with pytest.raises(ValueError, match="lossy_5050"):
-        evaluate_point(0.7, 0.1, 1.0, bs=BeamSplitterSpec.lossy_5050(0.02))
-    with pytest.raises(ValueError, match="lossy_5050"):
-        evaluate_point(0.7, 0.0, 1.0, bs=BeamSplitterSpec(0.6, 0.8j))
-
-
 def test_sweep_peak_memory_is_that_of_its_largest_point(monkeypatch):
     # one spec per Gamma serves all its points and a ladder is shared, not copied per
     # top, so the blocks and tables a sweep keeps are those its largest point builds alone
@@ -411,9 +424,9 @@ def test_sweep_peak_memory_is_that_of_its_largest_point(monkeypatch):
     gammas, drives = (0.02, 0.1), (0.5, 2.0, 6.0)
     largest = []
     for g in gammas:
-        spec = BeamSplitterSpec.lossy_5050(g)
-        evaluate_point(0.7, g, max(drives), bs=spec)
-        largest.append(store_bytes(spec))
+        evaluate_point(0.7, g, max(drives))
+        largest.append(store_bytes(cli._balanced_splitter(g)))
+    cli._balanced_splitter.cache_clear()
     made = []
     lossy_5050 = BeamSplitterSpec.lossy_5050.__func__
 

@@ -270,3 +270,34 @@ def test_frozen_table_scissors_rows_match_the_dense_reference(index):
     assert abs(probability - want["probability"]) <= TABLE_TOL
     state = np.array([complex(*z) for z in want["state"]]).reshape(rho.shape)
     assert np.max(np.abs(rho - state)) <= TABLE_TOL
+
+
+# the refused teleport rows are balanced (1, 1) patterns, which Hong-Ou-Mandel interference
+# forbids; the reference's numerical SVD of the splitter leaves rounding residue below this
+REFUSED_REFERENCE_PROBABILITY = 1e-30
+
+
+def test_frozen_table_teleport_rows_match_the_dense_reference():
+    # each row's teleporter takes that row's own recorded scissors state as its input
+    from .reference import reference_teleport
+
+    failures, checked = {}, {"kept": 0, "refused": 0}
+    for index, row in enumerate(_table()):
+        inputs, output = row["input"], row["output"]
+        if output["scissors"] == "refused":
+            continue
+        rho_c = np.array([complex(*z) for z in output["scissors"]["state"]]).reshape(2, 2)
+        clicks = tuple(inputs["teleport_clicks"])
+        rho_a = reference_teleport(inputs["eta"], _spec(inputs["bs1"]), _spec(inputs["bs2"]), rho_c, clicks)
+        probability = float(np.trace(rho_a).real)
+        if output["teleport"] == "refused":
+            checked["refused"] += 1
+            errors = [] if probability < REFUSED_REFERENCE_PROBABILITY else [f"probability {probability:.3e}"]
+        else:
+            checked["kept"] += 1
+            got = {"probability": probability, "state": [_pair(z) for z in (rho_a / probability).reshape(-1).tolist()]}
+            errors = _stage_errors(got, output["teleport"])
+        if errors:
+            failures[index] = errors
+    assert not failures
+    assert checked == {"kept": 178, "refused": 18}
