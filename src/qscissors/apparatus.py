@@ -200,9 +200,9 @@ def run_scissors(config: ScissorsConfig) -> RunResult:
 def _displaced_clicks(rho: FactoredState, config: ScissorsConfig) -> FactoredState:
     """The scissors' inner (c, d, e) factor after detector loss and the drive's
     displacement D(sqrt(eta) beta), beta = S (0, gamma), kept only on the
-    clicked row (k_d, k_e).  That row is written at occupation (0, 0) of a
-    register whose d and e cutoffs are 1, so that ideal counters at 0 clicks
-    post-select it exactly and nothing grows with the click counts.
+    clicked row (k_d, k_e).  That row is written at occupation (0, 0) of the
+    factor's own register, whose d and e cutoffs are 1, so that ideal counters
+    at 0 clicks post-select it exactly and nothing grows with the click counts.
 
     Each counter contributes the rows R[j, n] = <k| D(b) A_j |n>, n <= 1, of
     the loss branches A_0 = diag(1, sqrt(eta)) and A_1 = sqrt(1 - eta) |0><1|,
@@ -214,9 +214,9 @@ def _displaced_clicks(rho: FactoredState, config: ScissorsConfig) -> FactoredSta
     row_d = _click_rows(eta, scale * config.bs2.r * gamma, k_d)
     row_e = _click_rows(eta, scale * config.bs2.t * gamma, k_e)
     rows = (row_d[:, None, :, None] * row_e[None, :, None, :]).reshape(4, 4)  # [(j_d, j_e), (n_d, n_e)]
-    out = rho.register.dims[0]
+    reg = rho.register
+    out = reg.dims[0]
     branches = (rows @ rho.amplitudes.reshape(out, 4, -1)).reshape(out, -1)
-    reg = ModeRegister(("c", "d", "e"), (out - 1, 1, 1))
     amps = np.zeros(reg.dims + branches.shape[1:], dtype=complex)
     amps[:, 0, 0] = branches
     return FactoredState(reg, amps.reshape(reg.dim, -1), rho.compression_error)

@@ -8,12 +8,12 @@ Three models live here:
   Only the totals both modes can hold are kept: a splitter would move part of
   any larger total out of the register, so the operator maps it to zero and
   the lost weight shows as a trace defect (callers pad with
-  ``fock.pad_cutoffs`` so that nothing is lost).  A splitter acting on a state
-  is built only up to the largest total photon number the state occupies on
-  its two modes, from blocks its spec keeps for every later call
-  (``BeamSplitterSpec.ladders``).  A block operator acts on a register by
-  moving its two modes last and multiplying each block into the amplitudes it
-  touches; no register-sized operator is built;
+  ``fock.pad_cutoffs`` so that nothing is lost).  A splitter is sized by its
+  register: it keeps every total up to the smaller cutoff of its two modes,
+  from blocks its spec keeps for every later call (``BeamSplitterSpec.ladders``).
+  A block operator acts on a register by moving its two modes last and
+  multiplying each block into the amplitudes it touches; no register-sized
+  operator is built;
 * lossy beam splitters as CPTP channels, through the closed-form SVD
   S = W diag(s) X^dag: a passive unitary, single-mode loss of transmissivity
   s_i^2, and a second passive unitary.  With the environment in vacuum this is
@@ -155,7 +155,7 @@ class BeamSplitterSpec:
         return tuple([_LADDER_ROOT] for _ in self.factors)
 
     def loss_table(self, tau: float, d: int) -> np.ndarray:
-        """[A, A^2] at ``tau`` for a mode of size d: the top-left corner, bit for bit the smaller
+        """[A, A^2] at ``tau`` for a mode of size d: the upper-left corner, bit for bit the smaller
         table, of one table per tau grown to the largest size asked (at least LOSS_TABLE_MIN_SIZE)."""
         table = self._tables.get(tau)
         if table is None or table.shape[-1] < d:
@@ -229,10 +229,10 @@ class LiftedPairOperator:
         return out.reshape(moved.shape).transpose(self.inverse).reshape(psi.shape)
 
 
-def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | None = None, ladder=None) -> PairOperator:
-    """Block operator P_(<=low) U of a unitary V on two modes: U on the totals n <= low =
-    min(cutoff1, cutoff2, ``top``) (``top`` is cutoff1 + cutoff2 when None), zero on every other
-    total, since U would move part of a total above the smaller cutoff out of the register.
+def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, ladder=None) -> PairOperator:
+    """Block operator P_(<=low) U of a unitary V on two modes, sized by their cutoffs: U on the
+    totals n <= low = min(cutoff1, cutoff2), zero on every other total, since U would move part
+    of a total above the smaller cutoff out of the register.
     ``ladder`` is V's list of blocks B_0.. (``BeamSplitterSpec.ladders``), extended in place as
     far as this call needs; without one the blocks are built for this call only.
 
@@ -242,7 +242,7 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | Non
     Averaging the two ways of adding a photon keeps every coefficient at most 1, as in Risbo's
     construction of Wigner d-functions (J. Geodesy 70, 383, 1996); no eigendecomposition is
     needed, and block n keeps about n times the float unitarity defect of V itself.  A diagonal
-    V moves no photon, so it keeps the exact phases V00^m V11^n on every total up to ``top``,
+    V moves no photon, so it keeps the exact phases V00^m V11^n on every state of the pair,
     each power the running product of V's entry."""
     (v00, v01), (v10, v11) = np.asarray(v, dtype=complex).tolist()
     defect = max(  # the largest entry of |V V^dag - I|
@@ -253,13 +253,11 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, top: int | Non
     if defect > UNITARITY_TOL:
         raise ValueError(f"passive matrix is not unitary within {UNITARITY_TOL}")
     dims = (cutoff1 + 1, cutoff2 + 1)
-    top = cutoff1 + cutoff2 if top is None else min(top, cutoff1 + cutoff2)
     if v01 == 0 and v10 == 0:
         p1 = list(itertools.accumulate([v00] * cutoff1, operator.mul, initial=1 + 0j))
         p2 = list(itertools.accumulate([v11] * cutoff2, operator.mul, initial=1 + 0j))
-        phases = [a * b if m + n <= top else 0j for m, a in enumerate(p1) for n, b in enumerate(p2)]
-        return PairOperator(dims, phases=np.array(phases))
-    low = min(cutoff1, cutoff2, top)
+        return PairOperator(dims, phases=np.outer(p1, p2).ravel())
+    low = min(cutoff1, cutoff2)
     ladder = [_LADDER_ROOT] if ladder is None else ladder
     if len(ladder) <= low:
         _extend_ladder(v, ladder, low)
@@ -363,14 +361,10 @@ def apply_bs_channel(rho: FactoredState, modes: tuple[str, str], spec: BeamSplit
     return state
 
 
-def _passive(state: FactoredState, v: np.ndarray, modes: tuple[str, str], ladder=None) -> FactoredState:
-    """V on two modes, built only up to the largest total the factor occupies there."""
+def _passive(state: FactoredState, v: np.ndarray, modes: tuple[str, str], ladder: list) -> FactoredState:
+    """V on two modes, sized by their cutoffs in the factor's register."""
     reg = state.register
-    pair = (reg.position(modes[0]), reg.position(modes[1]))
-    rest = tuple(i for i in range(reg.n_modes + 1) if i not in pair)
-    occupied = state.amplitudes.reshape(reg.dims + (state.rank,)).any(axis=rest).nonzero()
-    top = int((occupied[0] + occupied[1]).max(initial=0))
-    op = _blockwise_passive(v, reg.cutoffs[pair[0]], reg.cutoffs[pair[1]], top, ladder)
+    op = _blockwise_passive(v, reg.cutoffs[reg.position(modes[0])], reg.cutoffs[reg.position(modes[1])], ladder)
     op = lift_pair_operator(op, reg, modes)
     return FactoredState(reg, op @ state.amplitudes, state.compression_error)
 
@@ -398,8 +392,7 @@ def _attenuate(state: FactoredState, label: str, tau: float, spec: BeamSplitterS
     post = reg.strides[pos]
     amps = state.amplitudes.reshape(-1, d, post, state.rank)
     amp_k, weight = spec.loss_table(tau, d)
-    parts = np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, d, 2 * post * state.rank)
-    branch_weight = (weight @ np.einsum("ijk,ijk->j", parts, parts)).tolist()
+    branch_weight = (weight @ (abs(amps) ** 2).sum(axis=(0, 2, 3))).tolist()
     floor = COMPRESSION_TOL * sum(branch_weight)
     kept = [k for k, w in enumerate(branch_weight) if w > floor]
     error = state.compression_error + sum(w for w in branch_weight if w <= floor)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from qscissors.analytic import combined_damping
+from qscissors.apparatus import bell_states
 from qscissors.channels import (
     BeamSplitterSpec,
     PairOperator,
     _attenuate,
     _blockwise_passive,
     _loss_table,
-    _passive,
     DetectorSpec,
     ImpossibleOutcomeError,
     apply_bs_channel,
@@ -25,11 +25,13 @@ from qscissors.fock import (
     FockVector,
     ModeRegister,
     basis_ket,
+    pad_cutoffs,
     partial_trace,
     tensor,
 )
 
 from .reference import (
+    apply_lossy_bs,
     assert_physical,
     dilate,
     fock_block_from_2x2,
@@ -305,13 +307,13 @@ def recurrence_cases():
 @pytest.mark.parametrize("cutoff", [26, 87, 200, 404])
 @pytest.mark.parametrize("name", list(recurrence_cases()))
 def test_recurrence_blocks_match_expm_reference_and_stay_unitary(name, cutoff):
-    # top = cutoff builds the recurrence blocks only.  Block n represents V exactly,
+    # Equal cutoffs keep the recurrence blocks up to the cutoff.  Block n represents V exactly,
     # so it inherits n times V's own float defect (0 to 4.4e-16 here, up to 1.8e-13
     # at n = 404); the rounding of the recurrence itself must stay within 1e-13.
     # Every block is checked at cutoff 26, a sample with the largest one above it
     v = recurrence_cases()[name]
     own = np.linalg.norm(v.conj().T @ v - np.eye(2), 2)
-    op = _blockwise_passive(v, cutoff, cutoff, top=cutoff)
+    op = _blockwise_passive(v, cutoff, cutoff)
     assert len(op.blocks) == cutoff + 1
     for n in range(cutoff + 1) if cutoff == 26 else (0, 1, cutoff // 2, cutoff):
         s, block = op.blocks[n]
@@ -321,25 +323,6 @@ def test_recurrence_blocks_match_expm_reference_and_stay_unitary(name, cutoff):
         defect = np.max(np.abs(block.conj().T @ block - np.eye(n + 1)))
         assert defect <= 1e-13 + n * own, f"block {n}: unitarity defect {defect:.2e}"
         assert np.max(np.abs(block - fock_block_from_2x2(v, n))) <= 1e-12, f"block {n}"
-
-
-@pytest.mark.parametrize("top", [0, 2, 4, 6, 9])
-def test_passive_up_to_top_equals_full_operator_on_supported_factor(top):
-    # cutoffs (4, 6) on the reversed pair (z, x): tops 0-4 build blocks up to top;
-    # 6 and 9 build the same blocks as the full operator, the totals up to 4
-    reg = ModeRegister(("x", "s", "z"), (6, 1, 4))
-    occ = reg.occupations()
-    totals = occ[:, 0] + occ[:, 2]
-    rng = np.random.default_rng(30 + top)
-    v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    psi = rng.normal(size=(reg.dim, 3)) + 1j * rng.normal(size=(reg.dim, 3))
-    for matrix in (v, np.diag([1j, np.exp(0.3j)])):
-        part = lift_pair_operator(_blockwise_passive(matrix, 4, 6, top), reg, ("z", "x"))
-        assert not (part @ psi)[totals > top].any()  # P_(<=top) U: zeros, not copies of psi
-        supported = np.where((totals <= top)[:, None], psi, 0)
-        full = lift_pair_operator(_blockwise_passive(matrix, 4, 6), reg, ("z", "x")) @ supported
-        assert np.array_equal(part @ supported, full)
-        assert np.array_equal(_passive(FactoredState(reg, supported), matrix, ("z", "x")).amplitudes, full)
 
 
 UNBALANCED_SPECS = [BeamSplitterSpec(0.7, 0.1), BeamSplitterSpec(0.3, 0.8j)]
@@ -421,21 +404,21 @@ def test_scissors_splitter_build_and_lift_peak_memory():
 @pytest.mark.parametrize("cutoffs", [(4, 4), (3, 6), (6, 2)])
 @pytest.mark.parametrize("extra", [0, 2, None])
 def test_strided_blocks_match_expm_reference_through_the_embedding(cutoffs, extra):
-    # tops at the smaller cutoff, two above it, and the full operator: each keeps the
-    # totals within the smaller cutoff and maps the factor's other totals to zero.
-    # The pair (z, x) is reversed and not adjacent
+    # factors supported up to the smaller cutoff, two above it, and on every total: the
+    # operator keeps the totals within the smaller cutoff and maps the factor's other
+    # totals to zero.  The pair (z, x) is reversed and not adjacent
     c_z, c_x = cutoffs
     reg = ModeRegister(("x", "s", "z"), (c_x, 1, c_z))
     iz, ix = reg.position("z"), reg.position("x")
     rng = np.random.default_rng(40 + c_z)
     v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     near_identity = (v * np.exp(-1j * rng.uniform(-1.5, 1.5, 2))) @ v.conj().T
-    top = c_z + c_x if extra is None else min(cutoffs) + extra
-    op = _blockwise_passive(near_identity, c_z, c_x, top)
+    support = c_z + c_x if extra is None else min(cutoffs) + extra
+    op = _blockwise_passive(near_identity, c_z, c_x)
     occ = reg.occupations()
     totals = occ[:, iz] + occ[:, ix]
     psi = rng.normal(size=(reg.dim, 3)) + 1j * rng.normal(size=(reg.dim, 3))
-    psi[totals > top] = 0.0
+    psi[totals > support] = 0.0
     out = lift_pair_operator(op, reg, ("z", "x")) @ psi
     retained = totals <= min(cutoffs)
     ref = moveaxis_embedding(fock_unitary_from_2x2(near_identity, c_z + 1, c_x + 1), reg.dims, iz, ix) @ psi
@@ -550,14 +533,36 @@ def test_hong_ou_mandel_pair_keeps_only_the_outputs_the_register_holds():
 def test_splitter_with_a_lossless_singular_value_matches_the_dense_reference():
     # Gamma = Omega = 0.48: the noise covariance is singular and the first loss step has
     # tau = 1, where A_0 is the identity
-    from .reference import apply_lossy_bs
-
     spec = BeamSplitterSpec(0.6, 0.4)
     assert spec.taus[0] == 1.0 and spec.taus[1] == pytest.approx(0.04, abs=1e-15)
     reg = ModeRegister(("a", "b"), (3, 3))
     rho = random_retained_state(reg, seed=23, block_max=3)  # totals <= 3: nothing truncated
     out = to_density(apply_bs_channel(FactoredState.from_state(rho), ("a", "b"), spec)).matrix
     ref = apply_lossy_bs(rho.matrix, [4, 4], (0, 1), spec.t, spec.r)
+    assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+def padded_inputs():
+    """|1,0> at cutoffs (6, 6) and the four Bell states at (2, 2): registers that hold more
+    photons than their states."""
+    one = FactoredState.from_state(basis_ket(ModeRegister(("b", "c"), (6, 6)), (1, 0)))
+    bells = {
+        label: pad_cutoffs(FactoredState.from_state(bell), {"b": 2, "c": 2}) for label, bell in bell_states().items()
+    }
+    return {"one photon": one, **bells}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [BeamSplitterSpec.ideal_5050(), BeamSplitterSpec.lossy_5050(0.1), BeamSplitterSpec(0.7, 0.1)],
+    ids=["ideal_5050", "lossy_5050", "unbalanced"],
+)
+@pytest.mark.parametrize("name", list(padded_inputs()))
+def test_splitter_on_a_padded_register_matches_the_dense_reference(name, spec):
+    # a splitter keeps every total its register holds, so it acts above the state's photons
+    rho = padded_inputs()[name]
+    out = to_density(apply_bs_channel(rho, ("b", "c"), spec)).matrix
+    ref = apply_lossy_bs(to_density(rho).matrix, list(rho.register.dims), (0, 1), spec.t, spec.r)
     assert np.max(np.abs(out - ref)) <= 1e-12
 
 

@@ -416,7 +416,7 @@ def test_unphysical_conditional_state_is_reported_on_the_row(monkeypatch, stage,
 
 def test_sweep_peak_memory_is_that_of_its_largest_point(monkeypatch):
     # one spec per Gamma serves all its points and a ladder is shared, not copied per
-    # top, so the blocks and tables a sweep keeps are those its largest point builds alone
+    # call, so the blocks and tables a sweep keeps are those its largest point builds alone
     def store_bytes(spec):
         ladders = sum(block.nbytes for ladder in spec.ladders for block in ladder)
         return ladders + sum(table.nbytes for table in spec._tables.values())
