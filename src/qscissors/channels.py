@@ -9,8 +9,9 @@ Three models live here:
   any larger total out of the register, so the operator maps it to zero and
   the lost weight shows as a trace defect (callers pad with
   ``fock.pad_cutoffs`` so that nothing is lost).  A splitter is sized by its
-  register: it keeps every total up to the smaller cutoff of its two modes,
-  from blocks its spec keeps for every later call (``BeamSplitterSpec.ladders``).
+  register: it keeps every total up to the smaller cutoff of its two modes.
+  Blocks depend on V alone and loss tables on tau alone, so both are memoized
+  by value here (``_ladder``, ``_loss_table``): equal splitters share them.
   A block operator acts on a register by moving its two modes last and
   multiplying each block into the amplitudes it touches; no register-sized
   operator is built;
@@ -34,11 +35,11 @@ Only the post-selected conditional state leaves as a ``DensityOperator``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,11 +55,6 @@ PSD_TOL = 1e-12
 LOSSLESS_TOL = 1e-14
 UNITARITY_TOL = 1e-12
 IMPOSSIBLE_PROBABILITY = 1e-300
-# a table grows to at least this size: the teleporter's modes have cutoff 2, so one build
-# per transmissivity serves both stages of a point
-LOSS_TABLE_MIN_SIZE = 3
-_LADDER_ROOT = np.ones((1, 1), dtype=complex)  # B_0, the vacuum block of every passive V
-_LADDER_ROOT.flags.writeable = False
 
 
 class ImpossibleOutcomeError(RuntimeError):
@@ -77,6 +73,8 @@ class BeamSplitterSpec:
     Gamma = 1 - |t|^2 - |r|^2 and cross term Omega = t r* + r t* must give a
     positive semidefinite noise covariance N = [[Gamma, -Omega], [-Omega, Gamma]]
     (Gamma >= |Omega|), otherwise the element is unphysical and rejected.
+    A spec is a value: specs with equal (t, r) are equal, and it holds nothing
+    mutable (its ``factors``, computed once, are read-only).
     """
 
     t: complex
@@ -85,7 +83,6 @@ class BeamSplitterSpec:
     def __post_init__(self):
         object.__setattr__(self, "t", complex(self.t))
         object.__setattr__(self, "r", complex(self.r))
-        object.__setattr__(self, "_tables", {})  # loss tables by tau (``loss_table``)
         if self.gamma < -PSD_TOL:
             raise ValueError(f"|t|^2 + |r|^2 = {1 - self.gamma} exceeds 1: spec is unphysical")
         if self.gamma < abs(self.omega) - PSD_TOL:
@@ -125,42 +122,32 @@ class BeamSplitterSpec:
     def is_lossless(self) -> bool:
         return self.gamma <= LOSSLESS_TOL
 
-    @cached_property
+    @functools.cached_property
     def factors(self) -> tuple[np.ndarray, ...]:
         """The passive matrices the channel applies in turn: S when lossless, else X^dag and
         then W of S = W diag(s) X^dag, in closed form from S = H diag(l) H (H the Hadamard
         matrix, l = (t + r, t - r)): P sorts s = |l| descending, X^dag = P H, W = H diag(l/|l|) P^T.
         Equal singular values (S = s U, every balanced splitter) take X^dag = I and W = S / s,
         which keeps a zero Hong-Ou-Mandel amplitude t^2 + r^2 of S exactly zero."""
-        if self.is_lossless:
-            return (self.scattering_matrix,)
         lam = (self.t + self.r, self.t - self.r)
         s = [abs(z) for z in lam]
-        if s[0] == s[1]:
-            return (np.eye(2), self.scattering_matrix / s[0] if s[0] else np.eye(2))
-        hadamard, perm = np.array([[1, 1], [1, -1]]) / math.sqrt(2), np.eye(2)[:: 1 if s[0] > s[1] else -1]
-        phases = np.diag([z / abs(z) if z else 1.0 for z in lam])
-        return (perm @ hadamard, hadamard @ phases @ perm.T)
+        if self.is_lossless:
+            factors = (self.scattering_matrix,)
+        elif s[0] == s[1]:
+            factors = (np.eye(2), self.scattering_matrix / s[0] if s[0] else np.eye(2))
+        else:
+            hadamard, perm = np.array([[1, 1], [1, -1]]) / math.sqrt(2), np.eye(2)[:: 1 if s[0] > s[1] else -1]
+            phases = np.diag([z / abs(z) if z else 1.0 for z in lam])
+            factors = (perm @ hadamard, hadamard @ phases @ perm.T)
+        for v in factors:
+            v.flags.writeable = False
+        return factors
 
-    @cached_property
+    @functools.cached_property
     def taus(self) -> tuple[float, ...]:
         """The loss step's transmissivities s_i^2 = |t +- r|^2, descending as in ``factors``."""
         taus = sorted((abs(self.t + self.r) ** 2, abs(self.t - self.r) ** 2), reverse=True)
         return () if self.is_lossless else tuple(min(tau, 1.0) for tau in taus)
-
-    @cached_property
-    def ladders(self) -> tuple[list, ...]:
-        """Per factor, its within-cutoff blocks B_0..B_n (none used by a diagonal factor), which
-        ``_blockwise_passive`` extends in place as far as a call needs; read-only, never dropped."""
-        return tuple([_LADDER_ROOT] for _ in self.factors)
-
-    def loss_table(self, tau: float, d: int) -> np.ndarray:
-        """[A, A^2] at ``tau`` for a mode of size d: the upper-left corner, bit for bit the smaller
-        table, of one table per tau grown to the largest size asked (at least LOSS_TABLE_MIN_SIZE)."""
-        table = self._tables.get(tau)
-        if table is None or table.shape[-1] < d:
-            table = self._tables[tau] = _loss_table(tau, max(d, LOSS_TABLE_MIN_SIZE))
-        return table[:, :d, :d]
 
 
 @dataclass(frozen=True)
@@ -229,21 +216,12 @@ class LiftedPairOperator:
         return out.reshape(moved.shape).transpose(self.inverse).reshape(psi.shape)
 
 
-def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, ladder=None) -> PairOperator:
+def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int) -> PairOperator:
     """Block operator P_(<=low) U of a unitary V on two modes, sized by their cutoffs: U on the
     totals n <= low = min(cutoff1, cutoff2), zero on every other total, since U would move part
-    of a total above the smaller cutoff out of the register.
-    ``ladder`` is V's list of blocks B_0.. (``BeamSplitterSpec.ladders``), extended in place as
-    far as this call needs; without one the blocks are built for this call only.
-
-    Block n is the n-photon representation of V, built from B_0 = [[1]] by the two-sided
-    recurrence (n + 1) B_(n+1) = (b1^dag B_n) A1^T + (b2^dag B_n) A2^T: A1, A2 add a photon to
-    mode 1 or 2, b_k^dag = sum_j V[j, k] A_j, and rows and columns count the photons in mode 1.
-    Averaging the two ways of adding a photon keeps every coefficient at most 1, as in Risbo's
-    construction of Wigner d-functions (J. Geodesy 70, 383, 1996); no eigendecomposition is
-    needed, and block n keeps about n times the float unitarity defect of V itself.  A diagonal
-    V moves no photon, so it keeps the exact phases V00^m V11^n on every state of the pair,
-    each power the running product of V's entry."""
+    of a total above the smaller cutoff out of the register.  The blocks are ``_ladder``'s.
+    A diagonal V moves no photon, so it keeps the exact phases V00^m V11^n on every state of
+    the pair, each power the running product of V's entry."""
     (v00, v01), (v10, v11) = np.asarray(v, dtype=complex).tolist()
     defect = max(  # the largest entry of |V V^dag - I|
         abs(abs(v00) ** 2 + abs(v01) ** 2 - 1),
@@ -257,21 +235,29 @@ def _blockwise_passive(v: np.ndarray, cutoff1: int, cutoff2: int, ladder=None) -
         p1 = list(itertools.accumulate([v00] * cutoff1, operator.mul, initial=1 + 0j))
         p2 = list(itertools.accumulate([v11] * cutoff2, operator.mul, initial=1 + 0j))
         return PairOperator(dims, phases=np.outer(p1, p2).ravel())
-    low = min(cutoff1, cutoff2)
-    ladder = [_LADDER_ROOT] if ladder is None else ladder
-    if len(ladder) <= low:
-        _extend_ladder(v, ladder, low)
+    ladder = _ladder(v00, v01, v10, v11, min(cutoff1, cutoff2))
     step = dims[1] - 1 or 1  # state (i, n - i) sits at n + i (d2 - 1); any step serves d2 = 1
-    blocks = tuple((slice(n, n + n * step + 1, step), ladder[n]) for n in range(low + 1))
-    return PairOperator(dims, blocks)
+    return PairOperator(dims, tuple((slice(n, n + n * step + 1, step), block) for n, block in enumerate(ladder)))
 
 
-def _extend_ladder(v: np.ndarray, ladder: list, low: int):
-    """Append B_n, n = len(ladder) .. low, each (n + 1, n + 1) and read-only, to V's
-    ``ladder`` by the recurrence of ``_blockwise_passive``: the block of one total each."""
+@functools.lru_cache
+def _ladder(v00: complex, v01: complex, v10: complex, v11: complex, low: int) -> tuple[np.ndarray, ...]:
+    """The read-only blocks B_0..B_low of V = [[v00, v01], [v10, v11]], block n the n-photon
+    representation of V, (n + 1, n + 1); memoized by value (a zero's sign is not part of the
+    key), so every splitter with this V and register shares them.
+
+    Built in a loop from B_0 = [[1]] by the two-sided recurrence
+    (n + 1) B_(n+1) = (b1^dag B_n) A1^T + (b2^dag B_n) A2^T: A1, A2 add a photon to mode 1 or
+    2, b_k^dag = sum_j V[j, k] A_j, and rows and columns count the photons in mode 1.
+    Averaging the two ways of adding a photon keeps every coefficient at most 1, as in Risbo's
+    construction of Wigner d-functions (J. Geodesy 70, 383, 1996); no eigendecomposition is
+    needed, and block n keeps about n times the float unitarity defect of V itself."""
+    v = np.array([[v00, v01], [v10, v11]])
     root = np.sqrt(np.arange(low + 1.0))
-    block = ladder[-1]
-    for n in range(len(ladder), low + 1):
+    block = np.ones((1, 1), dtype=complex)
+    block.flags.writeable = False
+    ladder = [block]
+    for n in range(1, low + 1):
         up, down = root[1 : n + 1, None], root[n:0:-1, None]  # sqrt(i) for i >= 1, sqrt(n - i) for i < n
         raised = np.zeros((2, n + 1, n), dtype=complex)
         raised[0, 1:] = up * block  # A1 B_(n-1)
@@ -283,6 +269,7 @@ def _extend_ladder(v: np.ndarray, ladder: list, low: int):
         block /= n
         block.flags.writeable = False
         ladder.append(block)
+    return tuple(ladder)
 
 
 def detector_povm(det: DetectorSpec, clicks: int, cutoff: int) -> np.ndarray:
@@ -351,26 +338,29 @@ def apply_bs_channel(rho: FactoredState, modes: tuple[str, str], spec: BeamSplit
     passive unitary, single-mode attenuators of transmissivity s_i^2, and a
     second passive unitary; with a vacuum environment this is the explicit
     dilation's channel (it only depends on S).  Blocks and loss tables come
-    from the spec, and later calls with it extend them instead of rebuilding.
+    from this module's caches (``_ladder``, ``_loss_table``), keyed by V and
+    tau, so every spec with the same factors or transmissivities shares them.
     """
-    state = _passive(rho, spec.factors[0], modes, spec.ladders[0])
+    state = _passive(rho, spec.factors[0], modes)
     if not spec.is_lossless:
         for label, tau in zip(modes, spec.taus):
-            state = _attenuate(state, label, tau, spec)
-        state = _passive(state, spec.factors[1], modes, spec.ladders[1])
+            state = _attenuate(state, label, tau)
+        state = _passive(state, spec.factors[1], modes)
     return state
 
 
-def _passive(state: FactoredState, v: np.ndarray, modes: tuple[str, str], ladder: list) -> FactoredState:
+def _passive(state: FactoredState, v: np.ndarray, modes: tuple[str, str]) -> FactoredState:
     """V on two modes, sized by their cutoffs in the factor's register."""
     reg = state.register
-    op = _blockwise_passive(v, reg.cutoffs[reg.position(modes[0])], reg.cutoffs[reg.position(modes[1])], ladder)
+    op = _blockwise_passive(v, reg.cutoffs[reg.position(modes[0])], reg.cutoffs[reg.position(modes[1])])
     op = lift_pair_operator(op, reg, modes)
     return FactoredState(reg, op @ state.amplitudes, state.compression_error)
 
 
+@functools.lru_cache
 def _loss_table(tau: float, d: int) -> np.ndarray:
-    """Read-only [A, A^2] with A[k, n] = sqrt(C(n,k) tau^(n-k) (1-tau)^k), n, k < d."""
+    """Read-only [A, A^2] with A[k, n] = sqrt(C(n,k) tau^(n-k) (1-tau)^k), n, k < d; memoized
+    by value, so every splitter with this transmissivity and mode size shares it."""
     n = np.arange(d)
     k = n[:, None]
     # row k of the running product is C(n, k): prod_{j <= k} (n - j + 1) / j, zero once j > n
@@ -381,17 +371,17 @@ def _loss_table(tau: float, d: int) -> np.ndarray:
     return table
 
 
-def _attenuate(state: FactoredState, label: str, tau: float, spec: BeamSplitterSpec) -> FactoredState:
+def _attenuate(state: FactoredState, label: str, tau: float) -> FactoredState:
     """Loss A_k |n> = sqrt(C(n,k) tau^(n-k) (1-tau)^k) |n-k> on one mode: the
     branches A_k psi, bar those below COMPRESSION_TOL, are stacked as columns
     and re-compressed; dropped weight goes to ``compression_error``.  The table
-    A_k(n) comes from ``spec.loss_table``."""
+    A_k(n) comes from ``_loss_table``."""
     reg = state.register
     pos = reg.position(label)
     d = reg.dims[pos]
     post = reg.strides[pos]
     amps = state.amplitudes.reshape(-1, d, post, state.rank)
-    amp_k, weight = spec.loss_table(tau, d)
+    amp_k, weight = _loss_table(tau, d)
     branch_weight = (weight @ (abs(amps) ** 2).sum(axis=(0, 2, 3))).tolist()
     floor = COMPRESSION_TOL * sum(branch_weight)
     kept = [k for k, w in enumerate(branch_weight) if w > floor]

@@ -325,9 +325,9 @@ def evaluate_point(eta: float, gamma_bs: float, drive_gamma: float) -> ReportRow
     (eta, Gamma, drive) is the whole input: both splitters are
     ``lossy_5050(gamma_bs)`` and both stages count with efficiency eta.
     Every drive the config check admits runs: the scissors stage takes it in
-    the displaced frame, with no cutoff.  Points of one Gamma share its spec
-    (``_balanced_splitter``), and so its blocks and loss tables."""
-    bs = _balanced_splitter(gamma_bs)
+    the displaced frame, with no cutoff.  Splitter blocks and loss tables are
+    memoized by value in ``channels``, so points whose splitters are equal share them."""
+    bs = BeamSplitterSpec.lossy_5050(gamma_bs)
     drive = CoherentDrive(drive_gamma)
     params = NoiseParams.from_drive(eta, gamma_bs, drive)
     row = ReportRow(eta=eta, gamma=gamma_bs, ratio_R=params.ratio_R, drive_gamma=abs(drive_gamma))
@@ -362,14 +362,6 @@ def evaluate_point(eta: float, gamma_bs: float, drive_gamma: float) -> ReportRow
     return row
 
 
-@functools.lru_cache
-def _balanced_splitter(gamma_bs: float) -> BeamSplitterSpec:
-    """``BeamSplitterSpec.lossy_5050(gamma_bs)``, one spec per Gamma for the process (up to
-    the cache's 128 most recent), so that every point of one Gamma builds its blocks and
-    loss tables once (``BeamSplitterSpec.ladders``)."""
-    return BeamSplitterSpec.lossy_5050(gamma_bs)
-
-
 def _is_physical_qubit(rho) -> bool:
     """A 2x2 state is Hermitian, of unit trace and positive, checked in closed form: a Hermitian
     2x2 matrix is positive when its diagonal and determinant are, so no LAPACK call is made."""
@@ -396,8 +388,9 @@ def rows_to_csv(rows: list[ReportRow]) -> str:
 
 
 def write_reports(rows: list[ReportRow], out_path: str):
-    csv_path = out_path if out_path.endswith(".csv") else out_path + ".csv"
-    json_path = csv_path[:-4] + ".json"
+    # "r", "r.csv" and "r.json" all name the pair r.csv and r.json
+    stem = out_path.removesuffix(".csv") if out_path.endswith(".csv") else out_path.removesuffix(".json")
+    csv_path, json_path = stem + ".csv", stem + ".json"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(rows_to_csv(rows))
     payload = {"columns": CSV_COLUMNS, "rows": [vars(r) for r in rows]}  # the fields, not copied
@@ -409,7 +402,7 @@ def write_reports(rows: list[ReportRow], out_path: str):
 
 def _cmd_single(kind: str, cfg: dict) -> int:
     drive = CoherentDrive(cfg["drive"])
-    bs = _balanced_splitter(cfg["gamma_bs"])
+    bs = BeamSplitterSpec.lossy_5050(cfg["gamma_bs"])
     stage = dict(bs1=bs, bs2=bs, detectors=DetectorSpec(cfg["eta"]), clicks=cfg["clicks"])
     if kind == "scissors":
         result = run_scissors(ScissorsConfig(drive=drive, **stage))

@@ -8,7 +8,7 @@ Basis index of an occupation tuple is therefore
 ``n1 * prod(c2+1, ..., ck+1) + ... + nk``.
 
 All state objects are immutable in intent: operations return new objects and
-never mutate their inputs, so values can be shared freely across sweep workers.
+never mutate their inputs, so one value can be shared freely between calls.
 
 Inside the engine every mixed state is a low-rank factor (``FactoredState``):
 a state enters through ``FactoredState.from_state`` and leaves as a

@@ -1,4 +1,4 @@
-"""Shared pytest configuration: every test starts with an empty splitter cache,
+"""Shared pytest configuration: every test starts with empty splitter caches,
 and a run that touched tests/test_acceptance.py ends with one PASS/FAIL line per
 acceptance criterion."""
 
@@ -6,16 +6,17 @@ import re
 
 import pytest
 
-from qscissors import cli
+from qscissors import channels
 
 CRITERION_PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\w+)")
 
 
 @pytest.fixture(autouse=True)
 def fresh_splitter_cache():
-    """The per-Gamma splitter specs ``cli`` keeps for the process, dropped before each
-    test, so that no test sees blocks or tables another test built."""
-    cli._balanced_splitter.cache_clear()
+    """The splitter blocks and loss tables ``channels`` keeps for the process, dropped
+    before each test, so that no test sees blocks or tables another test built."""
+    channels._ladder.cache_clear()
+    channels._loss_table.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

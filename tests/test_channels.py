@@ -11,6 +11,7 @@ from qscissors.channels import (
     PairOperator,
     _attenuate,
     _blockwise_passive,
+    _ladder,
     _loss_table,
     DetectorSpec,
     ImpossibleOutcomeError,
@@ -360,25 +361,60 @@ def test_closed_form_factors_are_an_svd_of_the_scattering_matrix(spec):
 
 
 def test_splitter_store_is_read_only_and_equals_fresh_builds():
-    # after one lossy call: every block the spec keeps equals a build without a ladder, the
-    # small loss table is the grown one's corner bit for bit, and nothing is writable.
+    # after one lossy call: every block and loss table kept is read-only and equals a build
+    # that bypasses the cache, and the small table is the larger one's corner bit for bit.
     # Unlike lossy_5050, whose X^dag is the identity, this spec has two non-diagonal factors
     spec = BeamSplitterSpec(0.7, 0.1)
     reg = ModeRegister(("a", "b"), (6, 6))
     apply_bs_channel(FactoredState.from_state(basis_ket(reg, (1, 5))), ("a", "b"), spec)
-    for v, ladder in zip(spec.factors, spec.ladders):
-        fresh = _blockwise_passive(v, 6, 6)
+    built = _ladder.cache_info().misses
+    for v in spec.factors:
+        entries = v.ravel().tolist()
+        ladder = _ladder(*entries, 6)
+        fresh = _ladder.__wrapped__(*entries, 6)
         assert len(ladder) == 7
-        for n, block in enumerate(ladder):
-            assert np.array_equal(block, fresh.blocks[n][1])
+        for block, fresh_block in zip(ladder, fresh):
+            assert np.array_equal(block, fresh_block)
             with pytest.raises(ValueError, match="read-only"):
                 block[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            v[0, 0] = 0
     for tau in spec.taus:
-        table = spec.loss_table(tau, 3)
-        assert np.array_equal(table, _loss_table(tau, 3))
-        for stored in (table, spec.loss_table(tau, 7)):
+        table = _loss_table(tau, 7)
+        assert np.array_equal(table, _loss_table.__wrapped__(tau, 7))
+        assert np.array_equal(table[:, :3, :3], _loss_table(tau, 3))
+        for stored in (table, _loss_table(tau, 3)):
             with pytest.raises(ValueError, match="read-only"):
                 stored[0, 0, 0] = 0
+    assert _ladder.cache_info().misses == built  # the channel's blocks, not new ones
+
+
+def test_balanced_splitters_share_their_w_blocks():
+    # every lossy_5050 has the same W = S / s bit for bit, so its blocks are built once
+    specs = [BeamSplitterSpec.lossy_5050(g) for g in (0.02, 0.1)]
+    assert np.array_equal(*(spec.factors[1] for spec in specs))
+    ops = [_blockwise_passive(spec.factors[1], 3, 3) for spec in specs]
+    assert all(a is b for (_, a), (_, b) in zip(ops[0].blocks, ops[1].blocks))
+
+
+def test_alternating_splitters_equal_their_cold_builds():
+    # blocks and tables are keyed by value: two specs applied in turn must each give, bit for
+    # bit, what it gives with empty caches
+    specs = [BeamSplitterSpec(0.7, 0.1), BeamSplitterSpec(0.6, 0.5j)]
+    reg = ModeRegister(("a", "b"), (3, 4))
+    rng = np.random.default_rng(8)
+    state = FactoredState(reg, rng.normal(size=(reg.dim, 2)) + 1j * rng.normal(size=(reg.dim, 2)))
+
+    def apply(spec):
+        return apply_bs_channel(state, ("a", "b"), spec).amplitudes
+
+    cold = []
+    for spec in specs:
+        _ladder.cache_clear()
+        _loss_table.cache_clear()
+        cold.append(apply(spec))
+    for spec, amplitudes in zip(specs * 2, cold * 2):
+        assert np.array_equal(apply(spec), amplitudes)
 
 
 def test_scissors_splitter_build_and_lift_peak_memory():
@@ -491,8 +527,7 @@ def test_attenuator_matches_kraus_oracle_on_middle_mode(tau):
     for a in attenuation_kraus(tau, cutoff=4):
         lifted = np.kron(np.kron(np.eye(2), a), np.eye(3))
         expected += lifted @ rho @ lifted.T
-    # any spec serves: its loss table depends on tau alone
-    out = to_density(_attenuate(FactoredState(reg, psi), "b", tau, BeamSplitterSpec.ideal_5050())).matrix
+    out = to_density(_attenuate(FactoredState(reg, psi), "b", tau)).matrix
     assert np.max(np.abs(out - expected)) <= 1e-13
 
 
@@ -511,7 +546,7 @@ def test_attenuator_on_vacuum_mode_rescales_rows_and_keeps_columns(tau):
     for a in attenuation_kraus(tau, cutoff=4):
         lifted = np.kron(np.kron(np.eye(2), a), np.eye(3))
         expected += lifted @ rho @ lifted.T
-    out = _attenuate(FactoredState(reg, psi), "b", tau, BeamSplitterSpec.ideal_5050())
+    out = _attenuate(FactoredState(reg, psi), "b", tau)
     assert out.rank == 3
     assert np.max(np.abs(to_density(out).matrix - expected)) <= 1e-13
 
@@ -627,7 +662,7 @@ def test_random_lossy_splitters_map_coherent_products_to_s_alpha():
 @pytest.mark.parametrize("cutoffs, alphas", DISPLACEMENT_CASES)
 @pytest.mark.parametrize("tau", [0.02, 0.5, 0.9])
 def test_loss_maps_a_coherent_state_to_sqrt_tau_alpha(cutoffs, alphas, tau):
-    out = _attenuate(coherent_factor(("a", "b"), cutoffs, alphas), "b", tau, BeamSplitterSpec.ideal_5050())
+    out = _attenuate(coherent_factor(("a", "b"), cutoffs, alphas), "b", tau)
     expected = coherent_factor(("a", "b"), cutoffs, (alphas[0], math.sqrt(tau) * alphas[1]))
     assert out.compression_error <= 1e-13
     assert_pure_and_equal(out, expected, 1e-14)

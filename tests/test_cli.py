@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qscissors import cli
+from qscissors import channels, cli
 from qscissors.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -347,46 +347,45 @@ def test_small_sweep_rows_in_grid_order():
     ids=["default", "custom_grid"],
 )
 def test_sweep_rows_equal_independent_points_exactly(axes):
-    # the sweep shares one splitter spec per Gamma; every float must match a point built alone
+    # the sweep's points share their blocks and loss tables; every float must match a point built alone
     grid = SweepGrid(**axes)
     alone = []
     for point in grid.points():
-        cli._balanced_splitter.cache_clear()
+        clear_splitter_caches()
         alone.append(evaluate_point(*point))
-    cli._balanced_splitter.cache_clear()
+    clear_splitter_caches()
     assert [asdict(r) for r in run_sweep(grid)] == [asdict(r) for r in alone]
 
 
+def clear_splitter_caches():
+    channels._ladder.cache_clear()
+    channels._loss_table.cache_clear()
+
+
+def splitter_builds() -> tuple[int, int]:
+    """(ladders, loss tables) built since the caches were last cleared."""
+    return channels._ladder.cache_info().misses, channels._loss_table.cache_info().misses
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.1])
-def test_shared_spec_builds_nothing_after_its_largest_point(monkeypatch, gamma):
-    from qscissors import channels
-
-    counts = {"ladder steps": 0, "loss tables": 0}
-    extend, build = channels._extend_ladder, channels._loss_table
-
-    def counted_extend(v, ladder, low):
-        size = len(ladder)
-        extend(v, ladder, low)
-        counts["ladder steps"] += len(ladder) - size
-
-    def counted_build(*args):
-        counts["loss tables"] += 1
-        return build(*args)
-
-    monkeypatch.setattr(channels, "_extend_ladder", counted_extend)
-    monkeypatch.setattr(channels, "_loss_table", counted_build)
+def test_shared_spec_builds_nothing_after_its_largest_point(gamma):
     evaluate_point(0.7, gamma, 2.0)
-    assert counts["ladder steps"] > 0 and (counts["loss tables"] > 0) == (gamma > 0)
-    built = dict(counts)
+    ladders, tables = built = splitter_builds()
+    assert ladders > 0 and (tables > 0) == (gamma > 0)
     for eta, drive in ((0.7, 1.0), (0.7, 0.5), (0.5, 2.0), (1.0, 2.0), (0.5, 0.5)):
         evaluate_point(eta, gamma, drive)
-    assert counts == built
+    assert splitter_builds() == built
 
 
 def test_balanced_splitter_keeps_one_loss_table_after_a_point():
-    # the two transmissivities of lossy_5050 are equal bit for bit, so they share a table
+    # the two transmissivities of lossy_5050 are equal bit for bit, so they share a table per
+    # mode size: d = 2 in the scissors stage and d = 3 in the teleporter
     evaluate_point(0.7, 0.1, 1.0)
-    assert len(cli._balanced_splitter(0.1)._tables) == 1
+    (tau,) = set(BeamSplitterSpec.lossy_5050(0.1).taus)
+    assert channels._loss_table.cache_info().currsize == 2
+    for d in (2, 3):
+        channels._loss_table(tau, d)  # kept: a hit, not a build
+    assert channels._loss_table.cache_info().misses == 2
 
 
 @pytest.mark.parametrize(
@@ -414,31 +413,17 @@ def test_unphysical_conditional_state_is_reported_on_the_row(monkeypatch, stage,
     assert row.has_violation()
 
 
-def test_sweep_peak_memory_is_that_of_its_largest_point(monkeypatch):
-    # one spec per Gamma serves all its points and a ladder is shared, not copied per
-    # call, so the blocks and tables a sweep keeps are those its largest point builds alone
-    def store_bytes(spec):
-        ladders = sum(block.nbytes for ladder in spec.ladders for block in ladder)
-        return ladders + sum(table.nbytes for table in spec._tables.values())
-
+def test_sweep_peak_memory_is_that_of_its_largest_point():
+    # a sweep keeps every block and table it builds, and what it builds is keyed by value:
+    # its builds contain those of its largest points, so equal build counts mean that the
+    # sweep keeps exactly what its largest points build alone, not a copy per point
     gammas, drives = (0.02, 0.1), (0.5, 2.0, 6.0)
-    largest = []
     for g in gammas:
         evaluate_point(0.7, g, max(drives))
-        largest.append(store_bytes(cli._balanced_splitter(g)))
-    cli._balanced_splitter.cache_clear()
-    made = []
-    lossy_5050 = BeamSplitterSpec.lossy_5050.__func__
-
-    def recording(cls, gamma):
-        made.append(lossy_5050(cls, gamma))
-        return made[-1]
-
-    monkeypatch.setattr(BeamSplitterSpec, "lossy_5050", classmethod(recording))
+    largest = splitter_builds()
+    clear_splitter_caches()
     run_sweep(SweepGrid(eta=[0.7], gamma_bs=list(gammas), drive=list(drives)))
-    shared = [spec for spec in made if "ladders" in vars(spec)]
-    assert [spec.gamma for spec in shared] == pytest.approx(list(gammas), abs=1e-15)
-    assert [store_bytes(spec) for spec in shared] == largest
+    assert splitter_builds() == largest
     assert min(largest) > 0
 
 
@@ -455,6 +440,20 @@ def test_cmd_pipeline_writes_reports_and_is_byte_stable(tmp_path):
     payload = json.loads((tmp_path / "run1.json").read_text())
     assert payload["columns"] == CSV_COLUMNS
     assert len(payload["rows"]) == 1
+
+
+@pytest.mark.parametrize("command", ["pipeline", "sweep"])
+def test_reports_out_names_the_pair_with_or_without_its_suffix(tmp_path, capsys, command):
+    # "r", "r.csv" and "r.json" all write r.csv and r.json, as scissors --out r.json writes r.json
+    written = {}
+    for suffix in ("", ".csv", ".json"):
+        folder = tmp_path / (suffix or "bare")
+        folder.mkdir()
+        assert main([command, "--eta", "0.7", "--drive", "1.0", "--out", str(folder / f"r{suffix}")]) == 0
+        assert sorted(p.name for p in folder.iterdir()) == ["r.csv", "r.json"]
+        written[suffix] = [(folder / name).read_bytes() for name in ("r.csv", "r.json")]
+    assert written[".csv"] == written[""] == written[".json"]
+    capsys.readouterr()
 
 
 def test_cmd_pipeline_ratio_flag(tmp_path, capsys):
