@@ -11,10 +11,10 @@ channel application, so the largest live register stays at three modes.
 
 The scissors stage runs in the displaced frame: with a vacuum environment a
 splitter of scattering matrix S maps a displaced input to a displaced output,
-Phi(D(a) rho D(a)^dag) = D(S a) Phi(rho) D(S a)^dag, and so does detector loss
-with sqrt(eta).  Only the drive-free inner state, one photon in all, goes
-through the splitters, on a cutoff-1 register (dim 8) whatever the drive; the
-drive enters in closed form at the counters.
+Phi(D(a) rho D(a)^dag) = D(S a) Phi(rho) D(S a)^dag, and so does a counter of
+efficiency eta, a loss that scales a by eta^(1/2).  Only the drive-free inner
+state, one photon in all, goes through the splitters, on a cutoff-1 register
+(dim 8) whatever the drive; the drive enters in closed form at the counters.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from .channels import (
     BeamSplitterSpec,
     DetectorSpec,
+    _loss_table,
     apply_bs_channel,
     postselect,
 )
@@ -180,10 +181,10 @@ def run_scissors(config: ScissorsConfig) -> RunResult:
     The drive is never put into Fock space.  With a vacuum environment a
     splitter of scattering matrix S maps a displaced input to a displaced
     output, Phi(D(a) rho D(a)^dag) = D(S a) Phi(rho) D(S a)^dag, and detector
-    loss of efficiency eta does the same with sqrt(eta).  So the drive-free
+    loss of efficiency eta does the same with eta^(1/2).  So the drive-free
     inner state (a photon on c, vacuum on d and e) goes through both splitters
     on a cutoff-1 register, and the drive enters only at the counters, as
-    D(sqrt(eta) (r gamma, t gamma)) on (d, e) (``_displaced_clicks``).  Nothing
+    D(eta^(1/2) (r gamma, t gamma)) on (d, e) (``_displaced_clicks``).  Nothing
     is truncated, so any drive runs; ``clicks`` must lie in [0, MAX_CLICKS].
     """
     for clicks in config.clicks:
@@ -199,18 +200,18 @@ def run_scissors(config: ScissorsConfig) -> RunResult:
 
 def _displaced_clicks(rho: FactoredState, config: ScissorsConfig) -> FactoredState:
     """The scissors' inner (c, d, e) factor after detector loss and the drive's
-    displacement D(sqrt(eta) beta), beta = S (0, gamma), kept only on the
+    displacement D(eta^(1/2) beta), beta = S (0, gamma), kept only on the
     clicked row (k_d, k_e).  That row is written at occupation (0, 0) of the
     factor's own register, whose d and e cutoffs are 1, so that ideal counters
     at 0 clicks post-select it exactly and nothing grows with the click counts.
 
     Each counter contributes the rows R[j, n] = <k| D(b) A_j |n>, n <= 1, of
-    the loss branches A_0 = diag(1, sqrt(eta)) and A_1 = sqrt(1 - eta) |0><1|,
-    with <k|D(b)|0> = <k|b> and <k|D(b)|1> = sqrt(k) <k-1|b> - b* <k|b>
+    its loss branches A_j (``_click_rows``), with <k|D(b)|0> = <k|b> and
+    <k|D(b)|1> = sqrt(k) <k-1|b> - b* <k|b>
     (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)); every pair of branches
     becomes a column of the factor."""
     eta, gamma, (k_d, k_e) = config.detectors.eta, config.drive.gamma, config.clicks
-    scale = math.sqrt(eta)
+    scale = _loss_table(eta, 2)[0, 0, 1].item()  # eta^(1/2), the amplitude A_0 keeps of one photon
     row_d = _click_rows(eta, scale * config.bs2.r * gamma, k_d)
     row_e = _click_rows(eta, scale * config.bs2.t * gamma, k_e)
     rows = (row_d[:, None, :, None] * row_e[None, :, None, :]).reshape(4, 4)  # [(j_d, j_e), (n_d, n_e)]
@@ -223,11 +224,12 @@ def _displaced_clicks(rho: FactoredState, config: ScissorsConfig) -> FactoredSta
 
 
 def _click_rows(eta: float, b: complex, k: int) -> np.ndarray:
-    """[[<k|D(b)|0>, sqrt(eta) <k|D(b)|1>], [0, sqrt(1 - eta) <k|D(b)|0>]]: rows j, columns n."""
+    """R[j, n] = <k| D(b) A_j |n>, n <= 1, A_j |n> = sqrt(W[j, n]) |n-j> the counter's loss
+    branches (W ``_loss_table(eta, 2)``'s weights): sqrt(W) * [[<k|D|0>, <k|D|1>], [0, <k|D|0>]]."""
     amplitude = CoherentDrive(b).amplitude
     vac = amplitude(k)
     one = -b.conjugate() * vac + (math.sqrt(k) * amplitude(k - 1) if k else 0.0)
-    return np.array([[vac, math.sqrt(eta) * one], [0.0, math.sqrt(1.0 - eta) * vac]])
+    return _loss_table(eta, 2)[0] * np.array([[vac, one], [0.0, vac]])
 
 
 def run_teleport(config: TeleportConfig) -> RunResult:
@@ -294,5 +296,10 @@ def _teleport_input(config: TeleportConfig) -> tuple[FockVector | DensityOperato
             raise ValueError("teleport input must be a single-mode state")
         if state.register.labels != ("c",):
             raise ValueError(f"teleport input must be on mode 'c', got {state.register.labels[0]!r}")
+        (cutoff,) = state.register.cutoffs
+        if cutoff > TELEPORT_CUTOFF:
+            raise ValueError(f"teleport input cutoff {cutoff} exceeds the limit of {TELEPORT_CUTOFF}")
+        if state.trace() <= 0.0:
+            raise ValueError(f"teleport input has trace {state.trace()}, not a state")
         return state, None
     raise TypeError(f"unsupported input state type {type(state).__name__}")

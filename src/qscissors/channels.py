@@ -21,7 +21,8 @@ Three models live here:
   the channel of every unitary dilation with noise covariance
   N = I - S S^dag, since that channel depends on S alone (the explicit
   dilation and its Kraus set are test oracles in ``tests/reference.py``);
-* inefficient click detectors as diagonal binomial POVMs with post-selection.
+* inefficient click detectors as diagonal POVMs with post-selection: a counter
+  of efficiency eta is a loss eta before an ideal one, so it shares those tables.
 
 Channels and post-selection take a low-rank factor rho = psi psi^dag
 (``fock.FactoredState``) only, so memory and work grow with dim * rank, never
@@ -275,25 +276,17 @@ def _ladder(v00: complex, v01: complex, v10: complex, v11: complex, low: int) ->
 def detector_povm(det: DetectorSpec, clicks: int, cutoff: int) -> np.ndarray:
     """Diagonal of the POVM element for registering ``clicks`` counts.
 
-    E_n = sum_(m>=n) C(m, n) eta^n (1-eta)^(m-n) |m><m|.  The all-photons-seen
-    entry (n = m) is stored as the float remainder of the rest of its binomial
-    family, so summing the family over click numbers in ascending order
-    resolves the identity exactly, float rounding included.
+    E_c = sum_(m>=c) W[m-c, m] |m><m|, W the weights of ``_loss_table(eta, cutoff + 1)``: the
+    counter misses m - c of m photons.  The all-photons-seen entry (m = c) is stored as the
+    float remainder of the rest of its binomial family, so summing the family over click
+    numbers in ascending order resolves the identity exactly, float rounding included.
     """
     if not 0 <= clicks <= cutoff:
         raise ValueError(f"clicks must lie in [0, {cutoff}], got {clicks}")
-    eta = det.eta
+    weight = _loss_table(det.eta, cutoff + 1)[1]
     diag = np.zeros(cutoff + 1)
-    for m in range(cutoff + 1):
-        if clicks > m:
-            continue
-        if clicks == m:
-            partial = 0.0
-            for k in range(m):
-                partial += math.comb(m, k) * eta**k * (1 - eta) ** (m - k)
-            diag[m] = 1.0 - partial
-        else:
-            diag[m] = math.comb(m, clicks) * eta**clicks * (1 - eta) ** (m - clicks)
+    diag[clicks:] = weight.diagonal(clicks)
+    diag[clicks] = 1.0 - sum(weight[clicks:0:-1, clicks].tolist())  # 0, 1, .., c - 1 seen, in turn
     return diag
 
 
@@ -359,23 +352,21 @@ def _passive(state: FactoredState, v: np.ndarray, modes: tuple[str, str]) -> Fac
 
 @functools.lru_cache
 def _loss_table(tau: float, d: int) -> np.ndarray:
-    """Read-only [A, A^2] with A[k, n] = sqrt(C(n,k) tau^(n-k) (1-tau)^k), n, k < d; memoized
-    by value, so every splitter with this transmissivity and mode size shares it."""
-    n = np.arange(d)
-    k = n[:, None]
-    # row k of the running product is C(n, k): prod_{j <= k} (n - j + 1) / j, zero once j > n
-    comb = np.cumprod(np.where(k == 0, 1.0, np.maximum(n - k + 1, 0) / np.maximum(k, 1)), axis=0)
-    amp_k = np.sqrt(comb * tau ** np.maximum(n - k, 0) * (1 - tau) ** k)
-    table = np.stack((amp_k, amp_k**2))
+    """Read-only [sqrt(W), W], n, k < d, with W[k, n] = C(n,k) tau^(n-k) (1-tau)^k the weight of
+    losing k of n photons to a loss of transmissivity tau; zero for k > n.  The package's one
+    copy of the binomial loss law: a counter of efficiency eta is a loss of transmissivity eta
+    in front of an ideal counter (Barnett et al., Phys. Rev. A 57, 2134 (1998)), so splitters
+    and counters alike read it, memoized by value."""
+    w = [[math.comb(n, k) * tau ** (n - k) * (1 - tau) ** k if k <= n else 0.0 for n in range(d)] for k in range(d)]
+    table = np.stack((np.sqrt(w), w))
     table.flags.writeable = False
     return table
 
 
 def _attenuate(state: FactoredState, label: str, tau: float) -> FactoredState:
-    """Loss A_k |n> = sqrt(C(n,k) tau^(n-k) (1-tau)^k) |n-k> on one mode: the
+    """Loss A_k |n> = sqrt(W[k, n]) |n-k> on one mode, W ``_loss_table``'s weights: the
     branches A_k psi, bar those below COMPRESSION_TOL, are stacked as columns
-    and re-compressed; dropped weight goes to ``compression_error``.  The table
-    A_k(n) comes from ``_loss_table``."""
+    and re-compressed; dropped weight, read from W, goes to ``compression_error``."""
     reg = state.register
     pos = reg.position(label)
     d = reg.dims[pos]

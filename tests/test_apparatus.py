@@ -20,7 +20,7 @@ from qscissors.apparatus import (
 )
 from qscissors.channels import BeamSplitterSpec, DetectorSpec, ImpossibleOutcomeError
 from qscissors.cli import main
-from qscissors.fock import CoherentDrive, fidelity
+from qscissors.fock import CoherentDrive, DensityOperator, ModeRegister, fidelity
 
 from .reference import (
     amplitude,
@@ -289,6 +289,17 @@ def test_teleport_density_input_on_another_mode_is_refused():
     target = QubitAmplitudes(0.6, 0.8).as_vector("a")
     with pytest.raises(ValueError, match=r"^teleport input must be on mode 'c', got 'a'$"):
         run_teleport(TeleportConfig(input_state=rho, target=target))
+
+
+def test_teleport_input_the_teleporter_cannot_hold_is_refused():
+    # a scissors output above TELEPORT_CUTOFF photons, and a zero-trace input, each end in a
+    # one-line ValueError before the engine sees them
+    with pytest.raises(ValueError, match=r"^teleport input cutoff 3 exceeds the limit of 2$"):
+        full_pipeline(ScissorsConfig(output_cutoff=3))
+    empty = DensityOperator(ModeRegister(("c",), (1,)), np.zeros((2, 2)))
+    target = QubitAmplitudes(0.6, 0.8).as_vector("a")
+    with pytest.raises(ValueError, match=r"^teleport input has trace 0\.0, not a state$"):
+        run_teleport(TeleportConfig(input_state=empty, target=target))
 
 
 def test_teleport_missing_input_rejected():

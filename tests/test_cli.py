@@ -367,14 +367,23 @@ def splitter_builds() -> tuple[int, int]:
     return channels._ladder.cache_info().misses, channels._loss_table.cache_info().misses
 
 
+def counter_tables(etas) -> set[tuple[float, int]]:
+    """The loss tables the counters of points at these etas read, keyed (eta, mode size): the
+    scissors' lossy counters (eta, 2) and ideal counters (1, 2), the teleporter's (eta, 3)."""
+    return {(1.0, 2)} | {(eta, d) for eta in etas for d in (2, 3)}
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.1])
 def test_shared_spec_builds_nothing_after_its_largest_point(gamma):
+    # later points rebuild no splitter block or table; a new eta builds only its counters' tables
     evaluate_point(0.7, gamma, 2.0)
-    ladders, tables = built = splitter_builds()
-    assert ladders > 0 and (tables > 0) == (gamma > 0)
-    for eta, drive in ((0.7, 1.0), (0.7, 0.5), (0.5, 2.0), (1.0, 2.0), (0.5, 0.5)):
+    ladders, tables = splitter_builds()
+    assert ladders > 0 and (tables > len(counter_tables([0.7]))) == (gamma > 0)
+    later = ((0.7, 1.0), (0.7, 0.5), (0.5, 2.0), (1.0, 2.0), (0.5, 0.5))
+    for eta, drive in later:
         evaluate_point(eta, gamma, drive)
-    assert splitter_builds() == built
+    new_counters = counter_tables([eta for eta, _ in later]) - counter_tables([0.7])
+    assert splitter_builds() == (ladders, tables + len(new_counters))
 
 
 def test_balanced_splitter_keeps_one_loss_table_after_a_point():
@@ -382,10 +391,11 @@ def test_balanced_splitter_keeps_one_loss_table_after_a_point():
     # mode size: d = 2 in the scissors stage and d = 3 in the teleporter
     evaluate_point(0.7, 0.1, 1.0)
     (tau,) = set(BeamSplitterSpec.lossy_5050(0.1).taus)
-    assert channels._loss_table.cache_info().currsize == 2
+    built = channels._loss_table.cache_info().misses
+    assert channels._loss_table.cache_info().currsize == 2 + len(counter_tables([0.7]))
     for d in (2, 3):
         channels._loss_table(tau, d)  # kept: a hit, not a build
-    assert channels._loss_table.cache_info().misses == 2
+    assert channels._loss_table.cache_info().misses == built
 
 
 @pytest.mark.parametrize(
