@@ -32,6 +32,9 @@ from .channels import (
     postselect,
 )
 from .fock import (
+    HERMITICITY_TOL,
+    NORM_SLACK,
+    POSITIVITY_TOL,
     CoherentDrive,
     DensityOperator,
     FactoredState,
@@ -103,21 +106,50 @@ class TeleportConfig:
     target: FockVector | None = None
 
 
+class UnphysicalStateError(ValueError):
+    """A stage's conditional output is not a zero/one-photon qubit."""
+
+
+def qubit_defect(rho: DensityOperator) -> str | None:
+    """Why a one-mode state is not a zero/one-photon qubit, or None.  It may hold no weight
+    above one photon beyond NORM_SLACK, and its 2x2 block must be Hermitian, of unit trace
+    and positive, checked in closed form: a Hermitian 2x2 matrix is positive when its
+    diagonal and determinant are, so no LAPACK call is made."""
+    matrix = rho.matrix
+    if len(matrix) > 2:
+        above = float(np.trace(matrix[2:, 2:]).real)
+        if abs(above) > NORM_SLACK:
+            return f"has weight {above} above one photon"
+    (a, b), (c, d) = matrix[:2, :2].tolist()
+    if max(abs(b - c.conjugate()), 2 * abs(a.imag), 2 * abs(d.imag)) > HERMITICITY_TOL:
+        return "is not Hermitian"
+    if abs(a.real + d.real - 1.0) > NORM_SLACK:
+        return f"has trace {a.real + d.real}, not a state"
+    lowest = min(a.real, d.real, (a * d - b * c).real)
+    if lowest < -POSITIVITY_TOL:
+        return f"is not positive (lowest minor {lowest:.3e})"
+    return None
+
+
 @dataclass(frozen=True)
 class RunResult:
-    """Conditional output of one post-selected pipeline run."""
+    """Conditional output of one post-selected pipeline run.  A state that is not a qubit
+    (``qubit_defect``) raises UnphysicalStateError before anything reads it; the fidelity
+    against the target is then derived from the checked state."""
 
     state: DensityOperator
     probability: float
-    fidelity: float
+    fidelity: float = field(init=False)
     target: FockVector
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        defect = qubit_defect(self.state)
+        if defect is not None:
+            raise UnphysicalStateError(f"conditional state {defect}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability {self.probability} outside [0, 1]")
-        if not 0.0 <= self.fidelity <= 1.0:
-            raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
+        object.__setattr__(self, "fidelity", fidelity(self.state, self.target))
 
 
 def bell_states() -> dict[str, FockVector]:
@@ -195,7 +227,7 @@ def run_scissors(config: ScissorsConfig) -> RunResult:
     counters = [("d", _IDEAL_COUNTER, 0), ("e", _IDEAL_COUNTER, 0)]
     state, probability = postselect(_displaced_clicks(rho, config), counters)
     target = QubitAmplitudes.from_drive(config.drive).as_vector("c", config.output_cutoff)
-    return RunResult(state, probability, fidelity(state, target), target, diagnostics)
+    return RunResult(state, probability, target, diagnostics)
 
 
 def _displaced_clicks(rho: FactoredState, config: ScissorsConfig) -> FactoredState:
@@ -242,7 +274,7 @@ def run_teleport(config: TeleportConfig) -> RunResult:
     rho, diagnostics = _propagate(("a", "b", "c"), 1, TELEPORT_CUTOFF, rho_c, config)
     events = [("b", config.detectors, config.clicks[0]), ("c", config.detectors, config.clicks[1])]
     state, probability = postselect(rho, events)
-    return RunResult(state, probability, fidelity(state, target), target, diagnostics)
+    return RunResult(state, probability, target, diagnostics)
 
 
 def _propagate(labels, out_cutoff, budget, probe, config) -> tuple[FactoredState, dict]:
@@ -299,7 +331,8 @@ def _teleport_input(config: TeleportConfig) -> tuple[FockVector | DensityOperato
         (cutoff,) = state.register.cutoffs
         if cutoff > TELEPORT_CUTOFF:
             raise ValueError(f"teleport input cutoff {cutoff} exceeds the limit of {TELEPORT_CUTOFF}")
-        if state.trace() <= 0.0:
-            raise ValueError(f"teleport input has trace {state.trace()}, not a state")
+        defect = qubit_defect(state)
+        if defect is not None:
+            raise ValueError(f"teleport input {defect}")
         return state, None
     raise TypeError(f"unsupported input state type {type(state).__name__}")

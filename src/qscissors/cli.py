@@ -38,6 +38,7 @@ from .apparatus import (
     QubitAmplitudes,
     ScissorsConfig,
     TeleportConfig,
+    UnphysicalStateError,
     bell_click_assignment,
     bs_action_on_bell,
     full_pipeline,
@@ -45,7 +46,7 @@ from .apparatus import (
     run_teleport,
 )
 from .channels import BeamSplitterSpec, DetectorSpec, ImpossibleOutcomeError
-from .fock import HERMITICITY_TOL, NORM_SLACK, POSITIVITY_TOL, CoherentDrive
+from .fock import CoherentDrive
 
 DEFAULT_SWEEP = {
     "eta": [0.5, 0.7, 1.0],
@@ -326,7 +327,9 @@ def evaluate_point(eta: float, gamma_bs: float, drive_gamma: float) -> ReportRow
     ``lossy_5050(gamma_bs)`` and both stages count with efficiency eta.
     Every drive the config check admits runs: the scissors stage takes it in
     the displaced frame, with no cutoff.  Splitter blocks and loss tables are
-    memoized by value in ``channels``, so points whose splitters are equal share them."""
+    memoized by value in ``channels``, so points whose splitters are equal share them.
+    A conditional state that is not a qubit ends the run in ``RunResult``; the row then
+    names ``unphysical_state`` and keeps its simulated columns at 0.0."""
     bs = BeamSplitterSpec.lossy_5050(gamma_bs)
     drive = CoherentDrive(drive_gamma)
     params = NoiseParams.from_drive(eta, gamma_bs, drive)
@@ -354,21 +357,12 @@ def evaluate_point(eta: float, gamma_bs: float, drive_gamma: float) -> ReportRow
         if eq16 is not None:
             row.abs_diff_16 = abs(s_res.fidelity - eq16.value)
             row.abs_diff_20 = abs(fid_e2e - eq20.value)
-        if not (_is_physical_qubit(s_res.state) and _is_physical_qubit(t_res.state)):
-            errors.append("unphysical_state")
     except ImpossibleOutcomeError:
         errors.append("impossible_outcome")
+    except UnphysicalStateError:
+        errors.append("unphysical_state")
     row.run_error = ";".join(errors)
     return row
-
-
-def _is_physical_qubit(rho) -> bool:
-    """A 2x2 state is Hermitian, of unit trace and positive, checked in closed form: a Hermitian
-    2x2 matrix is positive when its diagonal and determinant are, so no LAPACK call is made."""
-    (a, b), (c, d) = rho.matrix.tolist()
-    hermitian = max(abs(b - c.conjugate()), 2 * abs(a.imag), 2 * abs(d.imag)) <= HERMITICITY_TOL
-    lowest = min(a.real, d.real, (a * d - b * c).real)
-    return hermitian and abs(a.real + d.real - 1.0) <= NORM_SLACK and lowest >= -POSITIVITY_TOL
 
 
 def run_sweep(grid: SweepGrid) -> list[ReportRow]:

@@ -143,7 +143,7 @@ class DensityOperator:
 
     Trace may be below 1 only for sub-normalized post-selection intermediates.
     Positivity is not checked here, since it would cost a full eigendecomposition;
-    the CLI checks its 2x2 conditional states in closed form.
+    ``apparatus.qubit_defect`` checks each stage's one-mode input and output in closed form.
     """
 
     def __init__(self, register: ModeRegister, matrix: np.ndarray, check: bool = True):

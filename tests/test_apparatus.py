@@ -5,12 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qscissors import apparatus
 from qscissors.analytic import NoiseParams, teleport_norm, truncation_norm
 from qscissors.apparatus import (
     MAX_CLICKS,
     QubitAmplitudes,
     ScissorsConfig,
     TeleportConfig,
+    UnphysicalStateError,
     bell_click_assignment,
     bell_states,
     bs_action_on_bell,
@@ -19,7 +21,7 @@ from qscissors.apparatus import (
     run_teleport,
 )
 from qscissors.channels import BeamSplitterSpec, DetectorSpec, ImpossibleOutcomeError
-from qscissors.cli import main
+from qscissors.cli import evaluate_point, main
 from qscissors.fock import CoherentDrive, DensityOperator, ModeRegister, fidelity
 
 from .reference import (
@@ -300,6 +302,45 @@ def test_teleport_input_the_teleporter_cannot_hold_is_refused():
     target = QubitAmplitudes(0.6, 0.8).as_vector("a")
     with pytest.raises(ValueError, match=r"^teleport input has trace 0\.0, not a state$"):
         run_teleport(TeleportConfig(input_state=empty, target=target))
+
+
+@pytest.mark.parametrize(
+    "cutoff, diagonal, message",
+    [
+        (2, [0.0, 0.0, 1.0], r"has weight 1\.0 above one photon"),
+        (2, [0.5, 0.0, 0.5], r"has weight 0\.5 above one photon"),
+        (1, [1.2, -0.2], r"is not positive \(lowest minor -2\.400e-01\)"),
+        (1, [0.18, 0.32], r"has trace 0\.5, not a state"),
+    ],
+    ids=["two-photons", "vacuum-two-mixture", "negative-weight", "trace-0.5"],
+)
+def test_teleport_density_input_that_is_not_a_qubit_is_refused(cutoff, diagonal, message):
+    # the teleporter holds at most one input photon and reports a probability relative to a
+    # unit-trace, positive input, so any other input is refused before the engine sees it
+    rho = DensityOperator(ModeRegister(("c",), (cutoff,)), np.diag(diagonal))
+    target = QubitAmplitudes(0.6, 0.8).as_vector("a")
+    with pytest.raises(ValueError, match=rf"^teleport input {message}$"):
+        run_teleport(TeleportConfig(input_state=rho, target=target))
+
+
+@pytest.mark.parametrize(
+    "matrix", [[[1.2, 0.0], [0.0, -0.2]], [[0.5, 0.6], [0.6, 0.5]]], ids=["negative-diagonal", "fidelity-1.1"]
+)
+def test_unphysical_conditional_output_raises_and_exits_one(monkeypatch, capsys, matrix):
+    # every RunResult checks its state before its fidelity is read: a non-positive conditional
+    # output never leaves a stage, even one whose overlap with the target escapes [0, 1]
+    def broken(rho, events):
+        return DensityOperator(ModeRegister(("c",), (1,)), np.array(matrix)), 0.5
+
+    monkeypatch.setattr(apparatus, "postselect", broken)
+    with pytest.raises(UnphysicalStateError, match=r"^conditional state is not positive"):
+        run_scissors(ScissorsConfig())
+    assert evaluate_point(0.7, 0.1, 1.0).run_error == "unphysical_state"
+    assert main(["scissors"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("run error: conditional state is not positive") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_teleport_missing_input_rejected():

@@ -1,6 +1,7 @@
 """Engine-independent invariants of the two stages: the probabilities of every
 click pattern sum to 1, two lossy splitters in sequence are one lossy element,
-and a frozen table of end-to-end results holds to 1e-12.
+both stages commute with the photon-number phase, the teleporter is linear in
+its input, and a frozen table of end-to-end results holds to 1e-12.
 
 None of these looks at registers, ranks or blocks, so they hold for any engine
 that computes the same physics.
@@ -19,6 +20,7 @@ import cmath
 import json
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +105,65 @@ def test_scissors_outcomes_are_complete(pair, eta, drive):
         for k_e in range(top + 1 - k_d)
     )
     assert abs(total - 1.0) <= COMPLETENESS_TOL
+
+
+# ---------------------------------------------------------------- phase and linearity
+
+COVARIANCE_TOL = 1e-12
+# every (b, c) pattern of at most two photons, the most that reach the teleporter's counters
+TELEPORT_PATTERNS = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)]
+
+
+def _random_qubit(rng) -> np.ndarray:
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    m = m @ m.conj().T
+    return m / np.trace(m).real
+
+
+def _teleport(rho_c: np.ndarray, pair: str, eta: float, clicks):
+    bs1, bs2 = SPLITTER_PAIRS[pair]
+    state = DensityOperator(ModeRegister(("c",), (1,)), rho_c)
+    target = QubitAmplitudes(0.6, 0.8j).as_vector("a")
+    config = TeleportConfig(input_state=state, bs1=bs1, bs2=bs2, detectors=DetectorSpec(eta), clicks=clicks, target=target)
+    return run_teleport(config)
+
+
+def _assert_rotated(turned, base, u):
+    assert abs(turned.probability - base.probability) <= COVARIANCE_TOL
+    assert np.max(np.abs(turned.state.matrix - u @ base.state.matrix @ u.conj().T)) <= COVARIANCE_TOL
+
+
+@pytest.mark.parametrize("pair", ["random_a", "random_b"])
+def test_stages_are_phase_covariant(pair):
+    # passive splitters and photon counters commute with the photon-number phase, so turning
+    # the drive or the teleport input by U = diag(1, e^(i phi)) turns the output by U too
+    rng = np.random.default_rng(sorted(SPLITTER_PAIRS).index(pair))
+    bs1, bs2 = SPLITTER_PAIRS[pair]
+    eta, phi = rng.uniform(0.3, 1.0), rng.uniform(0.0, 2 * math.pi)
+    u = np.diag([1.0, cmath.exp(1j * phi)])
+    drive = cmath.rect(rng.uniform(0.3, 2.0), rng.uniform(0.0, 2 * math.pi))
+    for clicks in [(1, 0), (0, 1), (2, 1)]:
+        config = ScissorsConfig(drive=CoherentDrive(drive), bs1=bs1, bs2=bs2, detectors=DetectorSpec(eta), clicks=clicks)
+        turned = replace(config, drive=CoherentDrive(drive * cmath.exp(1j * phi)))
+        _assert_rotated(run_scissors(turned), run_scissors(config), u)
+    rho_c = _random_qubit(rng)
+    for clicks in TELEPORT_PATTERNS:
+        _assert_rotated(_teleport(u @ rho_c @ u.conj().T, pair, eta, clicks), _teleport(rho_c, pair, eta, clicks), u)
+
+
+@pytest.mark.parametrize("clicks", TELEPORT_PATTERNS)
+@pytest.mark.parametrize("pair", ["random_a", "random_b"])
+def test_teleport_output_is_linear_in_its_input(pair, clicks):
+    # the unnormalized output p rho_a is linear in the input: a mixture's output is the
+    # mixture of the outputs, each weighted by its probability
+    rng = np.random.default_rng(10 + sorted(SPLITTER_PAIRS).index(pair))
+    eta, w = rng.uniform(0.3, 1.0), rng.uniform()
+    rho_1, rho_2 = _random_qubit(rng), _random_qubit(rng)
+    one, two = (_teleport(rho, pair, eta, clicks) for rho in (rho_1, rho_2))
+    mixed = _teleport(w * rho_1 + (1 - w) * rho_2, pair, eta, clicks)
+    assert abs(mixed.probability - (w * one.probability + (1 - w) * two.probability)) <= COVARIANCE_TOL
+    want = w * one.probability * one.state.matrix + (1 - w) * two.probability * two.state.matrix
+    assert np.max(np.abs(mixed.probability * mixed.state.matrix - want)) <= COVARIANCE_TOL
 
 
 # ---------------------------------------------------------------- composition
