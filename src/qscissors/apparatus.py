@@ -19,6 +19,7 @@ state, one photon in all, goes through the splitters, on a cutoff-1 register
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -111,16 +112,21 @@ class UnphysicalStateError(ValueError):
 
 
 def qubit_defect(rho: DensityOperator) -> str | None:
-    """Why a one-mode state is not a zero/one-photon qubit, or None.  It may hold no weight
-    above one photon beyond NORM_SLACK, and its 2x2 block must be Hermitian, of unit trace
-    and positive, checked in closed form: a Hermitian 2x2 matrix is positive when its
-    diagonal and determinant are, so no LAPACK call is made."""
+    """Why a one-mode state is not a zero/one-photon qubit, or None.  Its entries must be
+    finite, every entry in a row or column of two or more photons must lie within NORM_SLACK
+    of zero, and its 2x2 block must be Hermitian, of unit trace and positive, checked in
+    closed form: a Hermitian 2x2 matrix is positive when its diagonal and determinant are,
+    so no LAPACK call is made."""
     matrix = rho.matrix
     if len(matrix) > 2:
-        above = float(np.trace(matrix[2:, 2:]).real)
-        if abs(above) > NORM_SLACK:
+        if not np.isfinite(matrix).all():
+            return "has an entry that is not finite"
+        above = float(max(np.abs(matrix[2:]).max(), np.abs(matrix[:2, 2:]).max()))
+        if above > NORM_SLACK:
             return f"has weight {above} above one photon"
     (a, b), (c, d) = matrix[:2, :2].tolist()
+    if not all(map(cmath.isfinite, (a, b, c, d))):
+        return "has an entry that is not finite"
     if max(abs(b - c.conjugate()), 2 * abs(a.imag), 2 * abs(d.imag)) > HERMITICITY_TOL:
         return "is not Hermitian"
     if abs(a.real + d.real - 1.0) > NORM_SLACK:

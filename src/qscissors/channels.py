@@ -36,6 +36,7 @@ Only the post-selected conditional state leaves as a ``DensityOperator``.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -84,6 +85,8 @@ class BeamSplitterSpec:
     def __post_init__(self):
         object.__setattr__(self, "t", complex(self.t))
         object.__setattr__(self, "r", complex(self.r))
+        if not (cmath.isfinite(self.t) and cmath.isfinite(self.r)):
+            raise ValueError(f"t = {self.t} and r = {self.r} must be finite")
         if self.gamma < -PSD_TOL:
             raise ValueError(f"|t|^2 + |r|^2 = {1 - self.gamma} exceeds 1: spec is unphysical")
         if self.gamma < abs(self.omega) - PSD_TOL:

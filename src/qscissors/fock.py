@@ -243,6 +243,8 @@ class CoherentDrive:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", complex(self.gamma))
+        if not math.isfinite(abs(self.gamma) * abs(self.gamma)):
+            raise ValueError(f"drive amplitude {self.gamma} must have a finite |gamma|^2")
 
     def amplitude(self, n: int) -> complex:
         """Poissonian amplitude exp(-|g|^2/2) g^n / sqrt(n!)."""

@@ -1,22 +1,9 @@
-"""Shared pytest configuration: every test starts with empty splitter caches,
-and a run that touched tests/test_acceptance.py ends with one PASS/FAIL line per
-acceptance criterion."""
+"""Shared pytest configuration: a run that touched tests/test_acceptance.py ends
+with one PASS/FAIL line per acceptance criterion."""
 
 import re
 
-import pytest
-
-from qscissors import channels
-
 CRITERION_PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\w+)")
-
-
-@pytest.fixture(autouse=True)
-def fresh_splitter_cache():
-    """The splitter blocks and loss tables ``channels`` keeps for the process, dropped
-    before each test, so that no test sees blocks or tables another test built."""
-    channels._ladder.cache_clear()
-    channels._loss_table.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

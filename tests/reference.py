@@ -12,9 +12,13 @@ algebra of the ideal teleporter and the vacuum Wick moment, oracles that only
 the tests use, also live here; they build on the package's Fock vectors and
 Bell states.  So do plain-numpy readers of the package's containers that only
 tests need: amplitudes, populations, overlaps, normalization, Kronecker products
-of pure vectors, the dense form of a vector or factor, the JSON loaders, a
+of pure vectors, the dense form of a pure vector, the JSON loaders, a
 splitter's noise covariance, a drive's zero/one-photon weight, a qubit's phase
-flip, and the eigenvalue check of a density operator's physicality.
+flip, and the eigenvalue check of a density operator's physicality; and the
+inputs several test modules share: random physical splitters, random states,
+a mixed qubit, the product of two splitters, the beam-splitter-and-ancilla
+model of a counter, and the brute-force Wick moment.  Nothing here names the
+Fock engine's internals, which only ``test_fock_engine.py`` tests.
 
 Imports stay absolute: the benchmark loads this file by path.  scipy is
 imported only inside the two functions that call ``expm``/``logm``, so loading
@@ -34,7 +38,6 @@ from qscissors.fock import (
     NORM_SLACK,
     POSITIVITY_TOL,
     DensityOperator,
-    FactoredState,
     FockVector,
     ModeRegister,
 )
@@ -91,14 +94,52 @@ def overlap(x: FockVector, y: FockVector) -> complex:
 
 def kron(x: FockVector, y: FockVector) -> FockVector:
     """x (x) y in the package's basis order, x's modes first."""
-    return FockVector(x.register.merged(y.register), np.kron(x.amplitudes, y.amplitudes))
+    reg = ModeRegister(x.register.labels + y.register.labels, x.register.cutoffs + y.register.cutoffs)
+    return FockVector(reg, np.kron(x.amplitudes, y.amplitudes))
 
 
-def to_density(state: FockVector | FactoredState) -> DensityOperator:
-    """|x><x| of a pure vector (checked), or psi psi^dag of a factor (unchecked, as the engine's)."""
-    if isinstance(state, FockVector):
-        return DensityOperator(state.register, np.outer(state.amplitudes, state.amplitudes.conj()))
-    return DensityOperator(state.register, state.amplitudes @ state.amplitudes.conj().T, check=False)
+def pure_density(x: FockVector) -> DensityOperator:
+    """|x><x| of a pure vector, checked as any DensityOperator is."""
+    return DensityOperator(x.register, np.outer(x.amplitudes, x.amplitudes.conj()))
+
+
+def random_physical_specs(count, seed=11):
+    """Sample beam-splitter specs whose noise covariance is PSD."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    while len(specs) < count:
+        t = rng.uniform(0.1, 1.0) * np.exp(2j * np.pi * rng.uniform())
+        r = rng.uniform(0.1, 1.0) * np.exp(2j * np.pi * rng.uniform())
+        scale = rng.uniform(0.7, 1.0) / max(1e-9, math.sqrt(abs(t) ** 2 + abs(r) ** 2))
+        t, r = t * scale, r * scale
+        gamma = 1 - abs(t) ** 2 - abs(r) ** 2
+        omega = 2 * (t * np.conj(r)).real
+        if gamma >= abs(omega):
+            specs.append(BeamSplitterSpec(t, r))
+    return specs
+
+
+def random_retained_state(reg, seed, block_max):
+    """Random density operator supported on total-photon blocks <= block_max."""
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(reg.dim, reg.dim)) + 1j * rng.normal(size=(reg.dim, reg.dim))
+    mat = mat @ mat.conj().T
+    keep = total_photons(reg) <= block_max
+    mat[~keep, :] = 0.0
+    mat[:, ~keep] = 0.0
+    mat /= np.trace(mat).real
+    return DensityOperator(reg, mat)
+
+
+def composed(s1: BeamSplitterSpec, s2: BeamSplitterSpec) -> BeamSplitterSpec:
+    """The one element of scattering matrix T = S2 S1."""
+    return BeamSplitterSpec(s2.t * s1.t + s2.r * s1.r, s2.t * s1.r + s2.r * s1.t)
+
+
+def mixed_input() -> DensityOperator:
+    """A fixed mixed qubit on mode c, the teleporter's density input."""
+    reg = ModeRegister(("c",), (1,))
+    return DensityOperator(reg, np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
 
 
 def norm_C2(params: NoiseParams) -> float:
@@ -326,6 +367,20 @@ def attenuation_kraus(tau: float, cutoff: int) -> list:
     return ops
 
 
+def bs_ancilla_click_probability(state_vec, eta, clicks, cutoff):
+    """Oracle: mix the signal with a vacuum ancilla on a lossless splitter of amplitude
+    transmissivity sqrt(eta), its expm unitary, then project the transmitted port on a
+    photon count with a perfect counter.  No input total exceeds the cutoff, so nothing
+    is truncated."""
+    t, r = math.sqrt(eta), 1j * math.sqrt(1 - eta)
+    dim = cutoff + 1
+    u = fock_unitary_from_2x2(np.array([[t, r], [r, t]]), dim, dim)
+    ancilla = np.zeros(dim)
+    ancilla[0] = 1.0
+    out = (u @ np.kron(state_vec.amplitudes, ancilla)).reshape(dim, dim)
+    return float(np.sum(np.abs(out[clicks]) ** 2))
+
+
 def coherent_vec(gamma, dim):
     n = np.arange(dim)
     amps = np.array(
@@ -548,3 +603,23 @@ def wick_moment(n: int, m: int, d: float) -> float:
     if n != m:
         return 0.0
     return math.factorial(n) * d**n
+
+
+def wick_bruteforce(n: int, m: int, d: "Fraction") -> "Fraction":
+    """Independent oracle: normal-order L^n L^dag^m over vacuum by repeatedly
+    commuting L through, using only [L, L^dag] = d and L|0> = 0.
+
+    A state sum_k c_k L^dag^k |0> is a dict {k: c_k}; applying L maps
+    L^dag^k |0> to k d L^dag^(k-1) |0>.  ``fractions`` is imported here, so
+    loading the file for its closed forms does not import it.
+    """
+    from fractions import Fraction
+
+    state = {m: Fraction(1)}
+    for _ in range(n):
+        new = {}
+        for power, coeff in state.items():
+            if power > 0:
+                new[power - 1] = new.get(power - 1, Fraction(0)) + coeff * power * d
+        state = new
+    return state.get(0, Fraction(0))

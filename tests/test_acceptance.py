@@ -49,6 +49,7 @@ from qscissors.cli import CSV_COLUMNS, main, rows_to_csv, run_sweep, SweepGrid
 from qscissors.fock import CoherentDrive, ModeRegister, basis_ket, fidelity
 
 from .reference import (
+    bs_ancilla_click_probability,
     corrected_scissors_fidelity,
     corrected_teleport_fidelity,
     lossy_bs_kraus,
@@ -56,11 +57,11 @@ from .reference import (
     overlap,
     phase_flipped,
     population,
-    to_density,
+    pure_density,
+    random_physical_specs,
+    wick_bruteforce,
     wick_moment,
 )
-from .test_analytic import wick_bruteforce
-from .test_channels import bs_ancilla_click_probability, random_physical_specs
 
 
 def random_qubits(count, seed=2024):
@@ -152,7 +153,7 @@ def test_criterion_05_kraus_completeness_and_loss_arithmetic():
         chan = lossy_bs_kraus(spec, cutoff=2)
         assert chan.completeness_defect() < 1e-10, spec
         small = lossy_bs_kraus(spec, cutoff=1)
-        rho = small.apply(to_density(basis_ket(reg, (1, 0))), ("x", "y"))
+        rho = small.apply(pure_density(basis_ket(reg, (1, 0))), ("x", "y"))
         assert abs(population(rho, (0, 0)) - spec.gamma) <= 1e-12
         assert abs(population(rho, (1, 0)) - abs(spec.t) ** 2) <= 1e-12
         assert abs(population(rho, (0, 1)) - abs(spec.r) ** 2) <= 1e-12

@@ -18,24 +18,7 @@ from qscissors.analytic import (
 from qscissors.channels import BeamSplitterSpec
 from qscissors.fock import CoherentDrive
 
-from .reference import norm_C2, wick_moment
-
-
-def wick_bruteforce(n: int, m: int, d: Fraction) -> Fraction:
-    """Independent oracle: normal-order L^n L^dag^m over vacuum by repeatedly
-    commuting L through, using only [L, L^dag] = d and L|0> = 0.
-
-    A state sum_k c_k L^dag^k |0> is a dict {k: c_k}; applying L maps
-    L^dag^k |0> to k d L^dag^(k-1) |0>.
-    """
-    state = {m: Fraction(1)}
-    for _ in range(n):
-        new = {}
-        for power, coeff in state.items():
-            if power > 0:
-                new[power - 1] = new.get(power - 1, Fraction(0)) + coeff * power * d
-        state = new
-    return state.get(0, Fraction(0))
+from .reference import norm_C2, wick_bruteforce, wick_moment
 
 
 # ---------------------------------------------------------------- damping

