@@ -18,7 +18,8 @@ flip, and the eigenvalue check of a density operator's physicality; and the
 inputs several test modules share: random physical splitters, random states,
 a mixed qubit, the product of two splitters, the beam-splitter-and-ancilla
 model of a counter, and the brute-force Wick moment.  Nothing here names the
-Fock engine's internals, which only ``test_fock_engine.py`` tests.
+Fock engine's internals, which only the engine tests (``test_fock_engine.py`` and
+the ``fock_engine`` tests of ``test_channels.py``) test.
 
 Imports stay absolute: the benchmark loads this file by path.  scipy is
 imported only inside the two functions that call ``expm``/``logm``, so loading
